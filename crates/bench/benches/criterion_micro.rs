@@ -13,7 +13,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_model::algorithm::{Algorithm, StateSpace};
-use sa_model::engine::EngineKind;
 use sa_model::executor::{ExecutionBuilder, SignalMode};
 use sa_model::graph::Graph;
 use sa_model::scheduler::{SynchronousScheduler, UniformRandomScheduler};
@@ -150,75 +149,51 @@ fn bench_synchronous_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Labels of the serial-vs-sharded scaling topologies (shared with the
-/// summary printer, which needs only the names — constructing the ≥ 4096-node
-/// graphs a second time just for labels would double the setup cost).
-const SCALING_LABELS: [&str; 3] = ["torus-64x64", "hypercube-12", "regular4-4096"];
-
-/// The large topologies the serial-vs-sharded scaling benchmark sweeps —
-/// ≥ 4096 nodes each, per the intra-execution parallelism acceptance target:
-/// the 64×64 torus, the dimension-12 hypercube and a random 4-regular
-/// expander.
-fn scaling_benchmark_graphs() -> Vec<(&'static str, Graph)> {
-    vec![
-        (
-            SCALING_LABELS[0],
-            Topology::Torus { rows: 64, cols: 64 }.build_deterministic(),
-        ),
-        (
-            SCALING_LABELS[1],
-            Topology::Hypercube { dim: 12 }.build_deterministic(),
-        ),
-        (
-            SCALING_LABELS[2],
-            Topology::RandomRegular { n: 4096, deg: 4 }.build(7),
-        ),
-    ]
-}
-
-/// The engine configurations the scaling benchmark compares.
-fn scaling_engines() -> [(&'static str, EngineKind); 4] {
-    [
-        ("serial", EngineKind::Serial),
-        ("sharded-2", EngineKind::Sharded { threads: 2 }),
-        ("sharded-4", EngineKind::Sharded { threads: 4 }),
-        ("sharded-8", EngineKind::Sharded { threads: 8 }),
-    ]
-}
-
-/// Serial vs sharded step engines on large topologies: AlgAU from an
-/// adversarial random configuration (heterogeneous signals keep the evaluate
-/// stage busy — the synchronized-lockstep fast path would bypass the engines
-/// entirely), three synchronous rounds per iteration.
+/// AlgAU on ≥ 4096-node topologies (the 64×64 torus, the dimension-12
+/// hypercube and a random 4-regular expander) from an adversarial random
+/// configuration — heterogeneous signals keep the evaluate stage busy (the
+/// synchronized-lockstep fast path would bypass it) — three synchronous
+/// rounds per iteration. The group and `<topology>/serial` ids keep the keys
+/// of the committed recording.
 fn bench_engine_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine-scaling");
     group.sample_size(10);
-    for (label, graph) in scaling_benchmark_graphs() {
+    let graphs = [
+        (
+            "torus-64x64",
+            Topology::Torus { rows: 64, cols: 64 }.build_deterministic(),
+        ),
+        (
+            "hypercube-12",
+            Topology::Hypercube { dim: 12 }.build_deterministic(),
+        ),
+        (
+            "regular4-4096",
+            Topology::RandomRegular { n: 4096, deg: 4 }.build(7),
+        ),
+    ];
+    for (label, graph) in graphs {
         let d = graph.diameter();
         let alg = AlgAu::new(d);
         let palette = alg.states();
-        for (engine_label, kind) in scaling_engines() {
-            group.bench_with_input(BenchmarkId::new(label, engine_label), &graph, |b, graph| {
-                b.iter_batched(
-                    || {
-                        ExecutionBuilder::new(&alg, graph)
-                            .seed(11)
-                            .engine(kind)
-                            .random_initial(&palette)
-                    },
-                    |mut exec| {
-                        let mut sched = SynchronousScheduler;
-                        exec.run_rounds(&mut sched, 3);
-                        black_box(exec.rounds());
-                        // Return the execution so its teardown (for the
-                        // sharded engine: worker-pool shutdown + joins)
-                        // happens after the timer stops.
-                        exec
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
+        group.bench_with_input(BenchmarkId::new(label, "serial"), &graph, |b, graph| {
+            b.iter_batched(
+                || {
+                    ExecutionBuilder::new(&alg, graph)
+                        .seed(11)
+                        .random_initial(&palette)
+                },
+                |mut exec| {
+                    let mut sched = SynchronousScheduler;
+                    exec.run_rounds(&mut sched, 3);
+                    black_box(exec.rounds());
+                    // Return the execution so its teardown happens after
+                    // the timer stops.
+                    exec
+                },
+                criterion::BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -279,57 +254,44 @@ fn bench_mask_predicates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Labels of the apply-scaling topologies (shared with the summary printer).
-const APPLY_LABELS: [&str; 2] = ["torus-64x64", "hypercube-12"];
-
-/// Serial vs sharded apply on ≥ 4096-node topologies. A churning AlgAU
-/// keeps every synchronous changed set far above
-/// `SHARDED_APPLY_MIN_CHANGED`, so the sharded engines commit the apply
-/// stage across the pool (the evaluate stage is already mask-compiled and
-/// cheap — the degree-12 hypercube makes the `O(changed · deg)` count
-/// updates the dominant cost). Single-core hosts record the honest ≤ 1x
-/// coordination overhead; re-record on a multi-core host for the real
-/// scaling (see ROADMAP).
+/// The apply stage on ≥ 4096-node topologies: a churning AlgAU keeps every
+/// synchronous changed set large, and the degree-12 hypercube makes the
+/// `O(changed · deg)` count updates the dominant cost (the evaluate stage is
+/// mask-compiled and cheap). The group and `<topology>/serial` ids keep the
+/// keys of the committed recording.
 fn bench_apply_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("apply-scaling");
     group.sample_size(10);
-    let graphs = vec![
+    let graphs = [
         (
-            APPLY_LABELS[0],
+            "torus-64x64",
             Topology::Torus { rows: 64, cols: 64 }.build_deterministic(),
             AlgAu::new(4),
         ),
         (
-            APPLY_LABELS[1],
+            "hypercube-12",
             Topology::Hypercube { dim: 12 }.build_deterministic(),
             AlgAu::new(3),
         ),
     ];
     for (label, graph, alg) in graphs {
         let palette = alg.states();
-        for (engine_label, kind) in [
-            ("serial", EngineKind::Serial),
-            ("sharded-2", EngineKind::Sharded { threads: 2 }),
-            ("sharded-4", EngineKind::Sharded { threads: 4 }),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, engine_label), &graph, |b, graph| {
-                b.iter_batched(
-                    || {
-                        ExecutionBuilder::new(&alg, graph)
-                            .seed(31)
-                            .engine(kind)
-                            .random_initial(&palette)
-                    },
-                    |mut exec| {
-                        let mut sched = SynchronousScheduler;
-                        exec.run_rounds(&mut sched, 2);
-                        black_box(exec.rounds());
-                        exec
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
+        group.bench_with_input(BenchmarkId::new(label, "serial"), &graph, |b, graph| {
+            b.iter_batched(
+                || {
+                    ExecutionBuilder::new(&alg, graph)
+                        .seed(31)
+                        .random_initial(&palette)
+                },
+                |mut exec| {
+                    let mut sched = SynchronousScheduler;
+                    exec.run_rounds(&mut sched, 2);
+                    black_box(exec.rounds());
+                    exec
+                },
+                criterion::BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -628,10 +590,8 @@ fn bench_stabilization(c: &mut Criterion) {
 
 /// Prints the dense-vs-sparse speedup per topology from the recorded
 /// `synchronous-round` results (the acceptance target is ≥ 5x on the
-/// 1024-node torus), then the serial-vs-sharded engine scaling from the
-/// `engine-scaling` results (target: sharded-4 beating serial on a
-/// ≥ 4096-node topology — requires ≥ 4 hardware cores; single-core hosts
-/// report the honest ≤ 1x).
+/// 1024-node torus), then the masked-vs-closure, active-set and oracle
+/// comparisons.
 fn speedup_summary(c: &mut Criterion) {
     println!("\n==== dense vs sparse synchronous-round speedup ====");
     for (label, _) in round_benchmark_graphs() {
@@ -662,28 +622,6 @@ fn speedup_summary(c: &mut Criterion) {
                 closure / masked
             );
         }
-    }
-    println!(
-        "\n==== serial vs sharded apply ({} hardware threads) ====",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    for label in APPLY_LABELS {
-        let time_of = |engine: &str| {
-            c.records()
-                .iter()
-                .find(|r| r.group == "apply-scaling" && r.bench == format!("{label}/{engine}"))
-                .map(|r| r.median_ns)
-        };
-        let Some(serial) = time_of("serial") else {
-            continue;
-        };
-        let mut line = format!("{label:<14} serial {serial:>13.0} ns/iter");
-        for engine_label in ["sharded-2", "sharded-4"] {
-            if let Some(t) = time_of(engine_label) {
-                line.push_str(&format!("   {engine_label} {:.2}x", serial / t));
-            }
-        }
-        println!("{line}");
     }
     println!("\n==== active-set vs full-eval post-stabilization rounds (scale) ====");
     for label in SCALE_LABELS {
@@ -719,28 +657,6 @@ fn speedup_summary(c: &mut Criterion) {
                 full / inc
             );
         }
-    }
-    println!(
-        "\n==== serial vs sharded engine scaling ({} hardware threads) ====",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    for label in SCALING_LABELS {
-        let time_of = |engine: &str| {
-            c.records()
-                .iter()
-                .find(|r| r.group == "engine-scaling" && r.bench == format!("{label}/{engine}"))
-                .map(|r| r.median_ns)
-        };
-        let Some(serial) = time_of("serial") else {
-            continue;
-        };
-        let mut line = format!("{label:<14} serial {serial:>13.0} ns/iter");
-        for (engine_label, _) in scaling_engines().iter().skip(1) {
-            if let Some(t) = time_of(engine_label) {
-                line.push_str(&format!("   {engine_label} {:.2}x", serial / t));
-            }
-        }
-        println!("{line}");
     }
 }
 

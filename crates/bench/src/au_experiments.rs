@@ -5,7 +5,6 @@ use crate::sweep::{self, CheckpointPolicy, SchedulerSpec, UnitOutcome};
 use crate::Scale;
 use sa_model::algorithm::StateSpace;
 use sa_model::checker::{measure_stabilization, StabilizationReport};
-use sa_model::engine::EngineKind;
 use sa_model::executor::ExecutionBuilder;
 use sa_model::fault::FaultPlan;
 use sa_model::graph::Graph;
@@ -129,8 +128,7 @@ fn graphs_for_diameter(d: usize, seed: u64) -> Vec<(String, Graph)> {
 /// unit runner the `sa` CLI uses
 /// ([`sweep::run_stabilization_on_graph`]), whose semantics match
 /// [`measure_stabilization`] exactly (pinned by
-/// `trial_runner_matches_measure_stabilization` below); the engine comes
-/// from the environment ([`EngineKind::from_env`]), as before.
+/// `trial_runner_matches_measure_stabilization` below).
 pub fn au_trial(
     graph: &Graph,
     diameter_bound: usize,
@@ -142,7 +140,6 @@ pub fn au_trial(
         graph,
         diameter_bound,
         &scheduler.spec(),
-        EngineKind::from_env(),
         &FaultPlan::None,
         seed,
         max_rounds,

@@ -3,7 +3,7 @@
 //!
 //! A *sweep spec* is a JSON document (parsed with [`sa_model::json`], no
 //! external dependencies) describing a grid of experiment configurations:
-//! **algorithms** × topologies × schedulers × engines × fault plans × seeds,
+//! **algorithms** × topologies × schedulers × fault plans × seeds,
 //! plus the paper-artifact tasks (transition table, state-space counts) that
 //! need no execution. The spec expands into independent [`SweepUnit`]s; each
 //! execution unit runs through [`run_unit`], which supports
@@ -199,7 +199,7 @@ pub enum SweepTask {
         include_derived: bool,
     },
     /// E3/E5–E7/E9-style measurement: stabilization rounds over an algorithm
-    /// × topology × scheduler × engine × seed grid, with optional fault
+    /// × topology × scheduler × seed grid, with optional fault
     /// injection. Expands into checkpointable [`SweepUnit`]s.
     Stabilization(StabilizationTask),
     /// E10-style measurement: a biological fault-recovery scenario — benign
@@ -242,7 +242,7 @@ pub struct StabilizationTask {
     pub diameter_bound: Option<usize>,
     /// Scheduler families to sweep.
     pub schedulers: Vec<SchedulerSpec>,
-    /// Step engines to sweep.
+    /// Step engines to sweep (each `serial`; see [`EngineSpec`]).
     pub engines: Vec<EngineSpec>,
     /// Fault plan applied at every completed round.
     pub fault: FaultPlan,
@@ -271,7 +271,7 @@ pub struct ScenarioTask {
     pub bursts: u64,
     /// Scheduler families to sweep.
     pub schedulers: Vec<SchedulerSpec>,
-    /// Step engines to sweep.
+    /// Step engines to sweep (each `serial`; see [`EngineSpec`]).
     pub engines: Vec<EngineSpec>,
     /// Number of independent seeds per cell.
     pub seeds: u64,
@@ -583,45 +583,34 @@ impl SchedulerSpec {
     }
 }
 
-/// A declarative engine selection.
+/// A declarative engine selection. `"serial"` (or `{"kind": "serial"}`) is
+/// the only engine; the field stays so existing specs parse unchanged and
+/// its label keeps its place in unit ids and metric labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSpec {
-    /// The engine kind (with an explicit lane count for sharded, so unit
-    /// labels stay stable across machines).
+    /// The engine kind.
     pub kind: EngineKind,
 }
 
 impl EngineSpec {
-    /// A stable label: `serial` or `sharded-<threads>`.
+    /// A stable label: `serial`.
     pub fn label(&self) -> String {
-        match self.kind {
-            EngineKind::Serial => "serial".to_string(),
-            EngineKind::Sharded { threads } => format!("sharded-{threads}"),
-        }
+        self.kind.label().to_string()
     }
 
     fn from_json(value: &JsonValue, ctx: &str) -> Result<Self, SpecError> {
-        if let Some(name) = value.as_str() {
-            return match name {
-                "serial" => Ok(EngineSpec {
-                    kind: EngineKind::Serial,
-                }),
-                "sharded" => Ok(EngineSpec {
-                    kind: EngineKind::Sharded { threads: 2 },
-                }),
-                other => Err(format!("{ctx}: unknown engine \"{other}\"")),
-            };
-        }
-        match field(value, "kind", ctx)?.as_str() {
+        let name = match value.as_str() {
+            Some(name) => Some(name),
+            None => field(value, "kind", ctx)?.as_str(),
+        };
+        match name {
             Some("serial") => Ok(EngineSpec {
                 kind: EngineKind::Serial,
             }),
-            Some("sharded") => Ok(EngineSpec {
-                kind: EngineKind::Sharded {
-                    threads: usize_field(value, "threads", ctx)?.max(1),
-                },
-            }),
-            Some(other) => Err(format!("{ctx}: unknown engine kind \"{other}\"")),
+            Some("sharded") => Err(format!(
+                "{ctx}: the sharded engine was removed; \"serial\" is the only engine"
+            )),
+            Some(other) => Err(format!("{ctx}: unknown engine \"{other}\"")),
             None => Err(format!("{ctx}: engine must be a string or an object")),
         }
     }
@@ -1193,7 +1182,6 @@ pub fn default_verify_window(d: usize) -> u64 {
 /// The resolved per-unit execution knobs handed to the generic runner.
 struct UnitParams<'a> {
     scheduler: &'a SchedulerSpec,
-    engine: EngineKind,
     fault: &'a FaultPlan,
     init: InitSpec,
     recovery: Option<RecoveryPlan>,
@@ -1210,7 +1198,6 @@ pub fn run_unit(unit: &SweepUnit, policy: &CheckpointPolicy<'_>) -> Result<UnitO
     let d = unit.diameter_bound.unwrap_or_else(|| graph.diameter());
     let params = UnitParams {
         scheduler: &unit.scheduler,
-        engine: unit.engine.kind,
         fault: &unit.fault,
         init: unit.init,
         recovery: unit.recovery,
@@ -1253,7 +1240,6 @@ pub fn run_stabilization_on_graph(
     graph: &Graph,
     diameter_bound: usize,
     scheduler: &SchedulerSpec,
-    engine: EngineKind,
     fault: &FaultPlan,
     seed: u64,
     max_rounds: u64,
@@ -1265,7 +1251,6 @@ pub fn run_stabilization_on_graph(
         graph,
         &UnitParams {
             scheduler,
-            engine,
             fault,
             init: InitSpec::Random,
             recovery: None,
@@ -1992,9 +1977,7 @@ fn run_unit_generic<B: UnitAlgorithm>(
                     .ok_or("checkpoint: malformed injector snapshot")?;
                 injector.restore(&snap);
             }
-            ExecutionBuilder::new(alg, graph)
-                .engine(params.engine)
-                .resume(&snap)
+            ExecutionBuilder::new(alg, graph).resume(&snap)
         }
         None => {
             phase = PHASE_STABILIZING;
@@ -2009,7 +1992,6 @@ fn run_unit_generic<B: UnitAlgorithm>(
             unrecovered = 0;
             let mut exec = ExecutionBuilder::new(alg, graph)
                 .seed(seed)
-                .engine(params.engine)
                 .initial(bundle.initial(params.init, graph.node_count(), seed));
             // Legitimacy is checked at time 0 (an adversarial configuration
             // may already be good; a benign one usually is).
@@ -2504,11 +2486,12 @@ pub fn aggregate_rows(units: &[(SweepUnit, UnitResult)]) -> Vec<ExperimentRow> {
         let idx = match cell_of_row.iter().position(|k| *k == key) {
             Some(i) => i,
             None => {
-                // Build the graph once per cell for its size and (when the
-                // spec leaves the bound implicit) its exact diameter.
-                let graph = unit.topology.build(unit.graph_seed);
-                let graph_n = graph.node_count();
-                let d = unit.diameter_bound.unwrap_or_else(|| graph.diameter());
+                // The size is closed-form; the graph is built only when the
+                // spec leaves the bound implicit and its exact diameter is
+                // needed.
+                let d = unit
+                    .diameter_bound
+                    .unwrap_or_else(|| unit.topology.build(unit.graph_seed).diameter());
                 cell_of_row.push(key);
                 samples.push(Vec::new());
                 failures.push(0);
@@ -2518,7 +2501,7 @@ pub fn aggregate_rows(units: &[(SweepUnit, UnitResult)]) -> Vec<ExperimentRow> {
                 rows.push(ExperimentRow {
                     experiment: unit.task_id.clone(),
                     topology: unit.topology_label(),
-                    n: graph_n,
+                    n: unit.topology.node_count(),
                     diameter_bound: d,
                     scheduler: unit.scheduler.label(),
                     metric: format!(
@@ -2692,9 +2675,9 @@ pub fn run_instant_tasks(spec: &SweepSpec) -> (Vec<ExperimentRow>, Vec<(String, 
 }
 
 /// Convenience: runs an entire spec in-process without persistence —
-/// expands, executes every unit (serially, honoring each unit's engine
-/// selection) and returns the aggregate report pieces. The CLI adds
-/// parallel fan-out, checkpoint persistence and file output on top.
+/// expands, executes every unit serially and returns the aggregate report
+/// pieces. The CLI adds parallel fan-out, checkpoint persistence and file
+/// output on top.
 pub fn run_spec_in_process(spec: &SweepSpec) -> Result<ExperimentReport, SpecError> {
     let units = spec.execution_units();
     let mut done = Vec::with_capacity(units.len());
@@ -2733,7 +2716,7 @@ mod tests {
           "kind": "stabilization",
           "topologies": [{"kind": "cycle", "n": 6}, {"kind": "hypercube", "dim": 2}],
           "schedulers": ["synchronous", "round-robin"],
-          "engines": ["serial", {"kind": "sharded", "threads": 2}],
+          "engines": ["serial"],
           "fault": {"kind": "burst", "at_round": 2, "count": 1},
           "seeds": 2,
           "max_rounds": 5000
@@ -2747,8 +2730,8 @@ mod tests {
         assert_eq!(spec.name, "test-sweep");
         assert_eq!(spec.tasks.len(), 3);
         let units = spec.execution_units();
-        // 1 algorithm × 2 topologies × 2 schedulers × 2 engines × 2 seeds
-        assert_eq!(units.len(), 16);
+        // 1 algorithm × 2 topologies × 2 schedulers × 2 seeds
+        assert_eq!(units.len(), 8);
         let ids: Vec<String> = units.iter().map(SweepUnit::id).collect();
         let unique: std::collections::BTreeSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len(), "unit ids must be unique");
@@ -2893,14 +2876,14 @@ mod tests {
             }
         }
         let rows = aggregate_rows(&done);
-        assert_eq!(rows.len(), 8, "one row per cell");
+        assert_eq!(rows.len(), 4, "one row per cell");
         assert!(rows.iter().all(|r| r.failures == 0));
         assert!(rows
             .iter()
-            .any(|r| r.metric == "algau:rounds-to-good@serial"));
-        assert!(rows
-            .iter()
-            .any(|r| r.metric == "algau:rounds-to-good@sharded-2"));
+            .all(|r| r.metric == "algau:rounds-to-good@serial"));
+        // The closed-form size matches the built graphs (cycle-6, hypercube-2).
+        let sizes: Vec<usize> = rows.iter().map(|r| r.n).collect();
+        assert_eq!(sizes, [6, 6, 4, 4]);
     }
 
     #[test]
@@ -2914,7 +2897,6 @@ mod tests {
                 "algorithms": ["min-plus-one"],
                 "topologies": [{"kind": "cycle", "n": 6}],
                 "schedulers": ["synchronous", {"kind": "uniform-random", "p": 0.5}],
-                "engines": ["serial", {"kind": "sharded", "threads": 2}],
                 "seeds": 2,
                 "max_rounds": 2000
               }]
@@ -2931,20 +2913,11 @@ mod tests {
                 UnitOutcome::Interrupted(_) => panic!("no interruption requested"),
             }
         }
-        // serial ≡ sharded for the baseline too (engine pairs share seeds)
         let rows = aggregate_rows(&done);
-        let serial: Vec<_> = rows
+        assert_eq!(rows.len(), 2);
+        assert!(rows
             .iter()
-            .filter(|r| r.metric == "min-plus-one:rounds-to-good@serial")
-            .collect();
-        let sharded: Vec<_> = rows
-            .iter()
-            .filter(|r| r.metric == "min-plus-one:rounds-to-good@sharded-2")
-            .collect();
-        assert_eq!(serial.len(), 2);
-        for (a, b) in serial.iter().zip(&sharded) {
-            assert_eq!(a.summary, b.summary, "engines disagree");
-        }
+            .all(|r| r.metric == "min-plus-one:rounds-to-good@serial"));
     }
 
     #[test]
@@ -2957,7 +2930,6 @@ mod tests {
                 "scenario": {"kind": "pulse", "segments": 3, "cells_per_segment": 3},
                 "harshness": "moderate", "bursts": 2,
                 "schedulers": [{"kind": "uniform-random", "p": 0.5}],
-                "engines": ["serial", {"kind": "sharded", "threads": 2}],
                 "seeds": 2,
                 "max_rounds": 50000
               }]
@@ -2976,47 +2948,53 @@ mod tests {
                 UnitOutcome::Interrupted(_) => panic!("no interruption requested"),
             }
         }
-        // engine invariance extends to the recovery phase
-        assert_eq!(done[0].1, done[2].1, "serial ≡ sharded (seed 0)");
-        assert_eq!(done[1].1, done[3].1, "serial ≡ sharded (seed 1)");
         let rows = aggregate_rows(&done);
-        assert_eq!(rows.len(), 4, "a rounds row and a recovery row per cell");
+        assert_eq!(rows.len(), 2, "a rounds row and a recovery row per cell");
         let recovery: Vec<_> = rows
             .iter()
             .filter(|r| r.metric.contains("recovery-rounds"))
             .collect();
-        assert_eq!(recovery.len(), 2);
+        assert_eq!(recovery.len(), 1);
         assert!(recovery
             .iter()
             .all(|r| r.topology == "pulse-3x3-moderate" && r.failures == 0));
     }
 
     #[test]
-    fn serial_and_sharded_units_measure_identical_rounds() {
-        // serial ≡ sharded bit-for-bit means the measured stabilization
-        // rounds of paired units must agree exactly.
-        let spec = SweepSpec::parse(SMOKE).unwrap();
-        let units = spec.execution_units();
-        let run = |unit: &SweepUnit| match run_unit(unit, &CheckpointPolicy::default()).unwrap() {
-            UnitOutcome::Complete(r) => r,
-            _ => unreachable!(),
+    fn engine_field_accepts_only_serial() {
+        let with_engines = |engines: &str| {
+            format!(
+                r#"{{"name": "e", "tasks": [{{"id": "R", "kind": "stabilization",
+                    "topologies": [{{"kind": "cycle", "n": 5}}],
+                    "schedulers": ["synchronous"], {engines} "seeds": 2}}]}}"#
+            )
         };
-        for pair in units.chunks(4) {
-            // expansion order is engine-major then seed: [serial s0, serial
-            // s1, sharded s0, sharded s1]
-            assert_eq!(
-                run(&pair[0]),
-                run(&pair[2]),
-                "engine changed the measurement"
-            );
-            assert_eq!(run(&pair[1]), run(&pair[3]));
+        let ids = |text: &str| -> Vec<String> {
+            SweepSpec::parse(text)
+                .expect("spec parses")
+                .execution_units()
+                .iter()
+                .map(SweepUnit::id)
+                .collect()
+        };
+        let implicit = ids(&with_engines(""));
+        assert_eq!(implicit, ids(&with_engines(r#""engines": ["serial"],"#)));
+        assert_eq!(
+            implicit,
+            ids(&with_engines(r#""engines": [{"kind": "serial"}],"#))
+        );
+        assert!(implicit.iter().all(|id| id.contains("--serial--")));
+        for removed in [r#""sharded""#, r#"{"kind": "sharded", "threads": 2}"#] {
+            let err = SweepSpec::parse(&with_engines(&format!(r#""engines": [{removed}],"#)))
+                .unwrap_err();
+            assert!(err.contains("the sharded engine was removed"), "{err}");
         }
     }
 
     #[test]
     fn interrupt_and_resume_is_bit_identical() {
         let spec = SweepSpec::parse(SMOKE).unwrap();
-        let unit = &spec.execution_units()[5];
+        let unit = &spec.execution_units()[3];
         let reference = match run_unit(unit, &CheckpointPolicy::default()).unwrap() {
             UnitOutcome::Complete(r) => r,
             _ => unreachable!(),

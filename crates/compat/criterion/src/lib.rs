@@ -259,7 +259,7 @@ impl Bencher {
     /// Benchmarks `routine` on fresh input produced by `setup`; only the
     /// routine is timed. Like the real criterion, the routine's outputs are
     /// collected during the batch and dropped *after* the timer stops, so
-    /// teardown cost (e.g. a benchmarked execution joining its worker pool)
+    /// teardown cost (e.g. freeing a benchmarked execution's buffers)
     /// does not pollute the measurement.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where

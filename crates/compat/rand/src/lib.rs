@@ -190,8 +190,7 @@ pub mod rngs {
     /// sequences regardless of when, where, or in which order they draw. The
     /// simulator keys one stream per `(seed, node, activation time)` triple,
     /// which makes randomized transitions independent of the order in which
-    /// an activation set is evaluated — and therefore identical between the
-    /// serial and sharded step engines, shard count notwithstanding.
+    /// an activation set is evaluated.
     ///
     /// The construction here is the SplitMix64 stream cipher form: output
     /// `i` is `mix64(key + i·φ)` where `φ` is the golden-ratio increment and

@@ -39,10 +39,9 @@ pub enum HostOutcome<S> {
 ///
 /// The host only ever sees host states: while any node of the neighborhood is inside
 /// Restart, the wrapper handles the transition and the host's `step` is not called.
-pub trait RestartableAlgorithm: Sync {
-    /// Host state set (bounds mirror [`Algorithm::State`], including the
-    /// thread-safety the sharded step engine requires).
-    type State: Clone + Eq + Ord + Hash + Debug + Send + Sync;
+pub trait RestartableAlgorithm {
+    /// Host state set (bounds mirror [`Algorithm::State`]).
+    type State: Clone + Eq + Ord + Hash + Debug;
     /// Output values of the task the host solves.
     type Output: Clone + Eq + Debug;
 

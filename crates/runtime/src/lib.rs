@@ -1,18 +1,15 @@
-//! # sa-runtime — shared thread-pool runtime
+//! # sa-runtime — shared execution runtime
 //!
-//! The workspace has two distinct parallel workloads:
+//! * [`parallel`] — **trial fan-out**: experiment sweeps run thousands of
+//!   *independent* executions (one per seed); [`parallel::par_map`] spreads
+//!   them across OS threads with an atomic work cursor, and
+//!   [`parallel::CancelToken`] lets the sweep and daemon layers stop a unit
+//!   at a step boundary.
+//! * [`faultfs`] — the deterministic filesystem fault-injection seam the
+//!   job layer's durability tests drive.
 //!
-//! * **trial fan-out** — experiment sweeps run thousands of *independent*
-//!   executions (one per seed); [`parallel::par_map`] spreads them across OS
-//!   threads with an atomic work cursor (promoted here from `sa_bench` so the
-//!   simulator crates can use it too), and
-//! * **intra-execution sharding** — the sharded step engine splits *one*
-//!   execution's activation set across a persistent [`pool::WorkerPool`],
-//!   whose workers stay parked between steps so a step costs a broadcast,
-//!   not a thread spawn.
-//!
-//! The build environment has no access to crates.io (so no `rayon`); both
-//! primitives are built on `std::thread` only. A `rayon` upgrade remains a
+//! The build environment has no access to crates.io (so no `rayon`); the
+//! fan-out is built on `std::thread` only. A `rayon` upgrade remains a
 //! drop-in once a registry is available.
 
 #![deny(unsafe_code)]
@@ -20,4 +17,3 @@
 
 pub mod faultfs;
 pub mod parallel;
-pub mod pool;

@@ -2,12 +2,7 @@
 //!
 //! Compares the medians of a freshly produced `BENCH_micro.json` against the
 //! committed one and fails on a >`--max-regress` (default 30%) slowdown in
-//! any **serial** benchmark. Sharded benchmarks get their own, looser hard
-//! threshold (`--max-regress-sharded`, default 50%): the committed recording
-//! comes from a 1-hardware-thread container where the sharded engine
-//! measures pure coordination overhead (see ROADMAP), so they need headroom
-//! for host variance — but a ≥50% slowdown is a real parallel-engine
-//! regression and fails the gate. Benchmarks present on only one side are
+//! any benchmark. Benchmarks present on only one side are
 //! reported but never fail the gate (benchmark sets may legitimately
 //! evolve).
 
@@ -48,12 +43,6 @@ fn load_records(path: &str) -> Result<Vec<Record>, String> {
     Ok(records)
 }
 
-/// Sharded-engine benchmarks: the committed recordings depend on the
-/// recording host's core count, so they get the looser threshold.
-fn is_sharded(key: &str) -> bool {
-    key.contains("sharded")
-}
-
 /// Derived throughput records (`rounds-per-sec`) move *up* on an
 /// improvement, which the increase-only gate would misread as a regression;
 /// they ride along for humans and never gate.
@@ -63,7 +52,6 @@ fn is_informational(key: &str) -> bool {
 
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut max_regress = 0.30f64;
-    let mut max_regress_sharded = 0.50f64;
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -74,21 +62,13 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--max-regress needs a fraction, e.g. 0.30")?;
             }
-            "--max-regress-sharded" => {
-                max_regress_sharded = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--max-regress-sharded needs a fraction, e.g. 0.50")?;
-            }
             other if other.starts_with("--") => return Err(format!("unknown flag \"{other}\"")),
             _ => positional.push(arg.clone()),
         }
     }
     let [committed_path, fresh_path] = positional.as_slice() else {
         return Err(
-            "usage: sa bench-diff <committed.json> <fresh.json> [--max-regress FRAC] \
-             [--max-regress-sharded FRAC]"
-                .to_string(),
+            "usage: sa bench-diff <committed.json> <fresh.json> [--max-regress FRAC]".to_string(),
         );
     };
     let committed = load_records(committed_path)?;
@@ -108,18 +88,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             continue;
         };
         let delta = current.median_ns / record.median_ns - 1.0;
-        let threshold = if is_sharded(&record.key) {
-            max_regress_sharded
-        } else {
-            max_regress
-        };
         let verdict = if is_informational(&record.key) {
             "info (not gated)"
-        } else if delta <= threshold {
+        } else if delta <= max_regress {
             "ok"
-        } else if is_sharded(&record.key) {
-            failures += 1;
-            "FAIL (sharded threshold)"
         } else {
             failures += 1;
             "FAIL"
@@ -142,18 +114,14 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     if failures > 0 {
         eprintln!(
-            "bench-diff: {failures} benchmark(s) regressed beyond their threshold \
-             (serial {:.0}%, sharded {:.0}%)",
-            max_regress * 100.0,
-            max_regress_sharded * 100.0
+            "bench-diff: {failures} benchmark(s) regressed beyond {:.0}%",
+            max_regress * 100.0
         );
         return Ok(ExitCode::FAILURE);
     }
     println!(
-        "bench-diff: no benchmark regressed beyond its threshold \
-         (serial {:.0}%, sharded {:.0}%)",
-        max_regress * 100.0,
-        max_regress_sharded * 100.0
+        "bench-diff: no benchmark regressed beyond {:.0}%",
+        max_regress * 100.0
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -30,7 +30,6 @@
 //! sa shutdown --socket PATH
 //! sa ping     --socket PATH [--wait SECS]
 //! sa bench-diff <committed.json> <fresh.json> [--max-regress FRAC]
-//!                                             [--max-regress-sharded FRAC]
 //! sa bench-record [--out BENCH_micro.json]
 //! ```
 //!
@@ -44,10 +43,9 @@
 //! for the daemon, SIGKILL included (CI `serve-smoke`, `tests/serve.rs`).
 //!
 //! Runtime behavior is tuned through `SA_*` environment variables
-//! (`SA_ENGINE`, `SA_ENGINE_THREADS`, `SA_BENCH_THREADS`,
-//! `SA_FORCE_FULL_EVAL`, `SA_FORCE_CLOSURE_EVAL`, `SA_FORCE_FULL_ORACLE`,
-//! `SA_VERIFY_MAX_STATES`, the `SA_SERVE_*` daemon limits, `SA_NO_FSYNC`,
-//! and the `SA_IO_FAULTS` fault-injection seam) —
+//! (`SA_BENCH_THREADS`, `SA_FORCE_FULL_EVAL`, `SA_FORCE_CLOSURE_EVAL`,
+//! `SA_FORCE_FULL_ORACLE`, `SA_VERIFY_MAX_STATES`, the `SA_SERVE_*` daemon
+//! limits, `SA_NO_FSYNC`, and the `SA_IO_FAULTS` fault-injection seam) —
 //! see `docs/env-vars.md` for the authoritative table.
 
 mod benchdiff;
@@ -73,8 +71,8 @@ fn usage() -> ExitCode {
          --socket PATH\n  sa gc       --socket PATH [--keep N] [--max-age-secs S]\n  sa drain    \
          --socket PATH\n  sa shutdown --socket PATH\n  sa ping     \
          --socket PATH [--wait SECS]\n  sa bench-diff <committed.json> <fresh.json> \
-         [--max-regress FRAC] [--max-regress-sharded FRAC]\n  sa bench-record \
-         [--out BENCH_micro.json]\n\nenvironment:\n  SA_ENGINE, SA_ENGINE_THREADS, \
+         [--max-regress FRAC]\n  sa bench-record \
+         [--out BENCH_micro.json]\n\nenvironment:\n  \
          SA_BENCH_THREADS, SA_FORCE_FULL_EVAL,\n  SA_FORCE_CLOSURE_EVAL, SA_FORCE_FULL_ORACLE, \
          SA_VERIFY_MAX_STATES,\n  SA_SERVE_KEEP, SA_SERVE_KEEP_AGE_SECS, SA_SERVE_MAX_FRAME_BYTES,\n  \
          SA_SERVE_IDLE_TIMEOUT_SECS, SA_SERVE_WRITE_TIMEOUT_SECS,\n  SA_SERVE_UNIT_TIMEOUT_SECS, \

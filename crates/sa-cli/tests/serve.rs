@@ -2,7 +2,7 @@
 //! socket, two concurrent clients, and the crash-recovery guarantee — a
 //! daemon SIGKILLed mid-sweep and restarted must produce
 //! `EXPERIMENTS.json`/`.md` byte-identical to an uninterrupted batch run,
-//! across both `SA_ENGINE` legs and both checkpoint formats.
+//! in both checkpoint formats.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -60,21 +60,18 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn start(dir: &Path, engine: Option<&str>) -> Daemon {
+    fn start(dir: &Path) -> Daemon {
         let socket = dir.join("sa.sock");
-        let mut command = Command::new(SA);
-        command
+        let child = Command::new(SA)
             .args(["serve", "--socket"])
             .arg(&socket)
             .arg("--state-dir")
             .arg(dir.join("state"))
             .args(["--workers", "2", "--checkpoint-every", "3"])
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if let Some(engine) = engine {
-            command.env("SA_ENGINE", engine);
-        }
-        let child = command.spawn().expect("spawn daemon");
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn daemon");
         let daemon = Daemon { child, socket };
         daemon.await_up();
         daemon
@@ -164,19 +161,16 @@ fn watch(daemon: &Daemon, job: &str) -> Vec<String> {
 }
 
 /// Runs the batch baseline for `spec_path` and returns the report bytes.
-fn batch_baseline(dir: &Path, spec_path: &Path, engine: Option<&str>) -> (Vec<u8>, Vec<u8>) {
+fn batch_baseline(dir: &Path, spec_path: &Path) -> (Vec<u8>, Vec<u8>) {
     let out = dir.join("baseline");
-    let mut command = Command::new(SA);
-    command
+    let status = Command::new(SA)
         .arg("run")
         .arg(spec_path)
         .arg("--out")
         .arg(&out)
-        .stdout(Stdio::null());
-    if let Some(engine) = engine {
-        command.env("SA_ENGINE", engine);
-    }
-    let status = command.status().expect("run batch baseline");
+        .stdout(Stdio::null())
+        .status()
+        .expect("run batch baseline");
     assert!(status.success(), "baseline run failed");
     (
         fs::read(out.join("EXPERIMENTS.json")).unwrap(),
@@ -187,12 +181,12 @@ fn batch_baseline(dir: &Path, spec_path: &Path, engine: Option<&str>) -> (Vec<u8
 /// The crash-recovery guarantee, end to end: SIGKILL the daemon once a unit
 /// has checkpointed, restart it on the same state directory, and byte-diff
 /// the recovered reports against an uninterrupted batch run.
-fn kill_restart_byte_diff(tag: &str, engine: Option<&str>, format: &str) {
+fn kill_restart_byte_diff(tag: &str, format: &str) {
     let dir = temp_dir(tag);
     let spec_path = dir.join("spec.json");
     fs::write(&spec_path, slow_spec(format)).unwrap();
 
-    let mut daemon = Daemon::start(&dir, engine);
+    let mut daemon = Daemon::start(&dir);
     let job = submit(&daemon, &spec_path, "");
     let out_dir = dir.join("state").join("jobs").join(&job).join("out");
 
@@ -225,14 +219,14 @@ fn kill_restart_byte_diff(tag: &str, engine: Option<&str>, format: &str) {
 
     // Restart on the same state dir: the daemon rescans, resumes the job
     // under its original id, and finishes it.
-    let mut daemon = Daemon::start(&dir, engine);
+    let mut daemon = Daemon::start(&dir);
     let lines = watch(&daemon, &job);
     let last = lines.last().unwrap();
     assert!(last.contains("\"state\": \"finished\""), "{last}");
     assert!(last.contains("\"clean\": true"), "{last}");
     daemon.shutdown();
 
-    let (baseline_json, baseline_md) = batch_baseline(&dir, &spec_path, engine);
+    let (baseline_json, baseline_md) = batch_baseline(&dir, &spec_path);
     let daemon_json = fs::read(out_dir.join("EXPERIMENTS.json")).unwrap();
     let daemon_md = fs::read(out_dir.join("EXPERIMENTS.md")).unwrap();
     assert_eq!(
@@ -248,22 +242,12 @@ fn kill_restart_byte_diff(tag: &str, engine: Option<&str>, format: &str) {
 
 #[test]
 fn sigkill_recovery_serial_engine_json_checkpoints() {
-    kill_restart_byte_diff("serial-json", Some("serial"), "json");
+    kill_restart_byte_diff("serial-json", "json");
 }
 
 #[test]
 fn sigkill_recovery_serial_engine_binary_checkpoints() {
-    kill_restart_byte_diff("serial-bin", Some("serial"), "binary");
-}
-
-#[test]
-fn sigkill_recovery_sharded_engine_json_checkpoints() {
-    kill_restart_byte_diff("sharded-json", Some("sharded"), "json");
-}
-
-#[test]
-fn sigkill_recovery_sharded_engine_binary_checkpoints() {
-    kill_restart_byte_diff("sharded-bin", Some("sharded"), "binary");
+    kill_restart_byte_diff("serial-bin", "binary");
 }
 
 /// Protocol smoke: handshake, ping, bad requests, submit by inline spec,
@@ -271,7 +255,7 @@ fn sigkill_recovery_sharded_engine_binary_checkpoints() {
 #[test]
 fn protocol_smoke() {
     let dir = temp_dir("protocol");
-    let mut daemon = Daemon::start(&dir, None);
+    let mut daemon = Daemon::start(&dir);
 
     let pong = daemon.request(r#"{"op": "ping", "ignored_field": 42}"#);
     assert!(pong.contains("\"ok\": true"), "{pong}");
@@ -306,7 +290,7 @@ fn protocol_smoke() {
 
     // Statuses survive a clean restart via the result archive.
     daemon.shutdown();
-    let mut daemon = Daemon::start(&dir, None);
+    let mut daemon = Daemon::start(&dir);
     let status = daemon.request(&format!(r#"{{"op": "status", "job": "{job}"}}"#));
     assert!(status.contains("\"state\": \"finished\""), "{status}");
     // Watching an archived job yields a synthetic job-finished immediately.
@@ -334,7 +318,7 @@ fn write_spec(dir: &Path, name: &str, body: &str) -> PathBuf {
 #[test]
 fn two_clients_share_the_daemon() {
     let dir = temp_dir("two-clients");
-    let mut daemon = Daemon::start(&dir, None);
+    let mut daemon = Daemon::start(&dir);
     let spec_a = write_spec(&dir, "a.json", &quick_spec("client-a"));
     let spec_b = write_spec(&dir, "b.json", &quick_spec("client-b"));
     let job_a = submit(&daemon, &spec_a, r#", "client": "alice", "priority": 1"#);

@@ -39,10 +39,7 @@ pub enum MaskedOutcome<S> {
 /// identically (deterministic algorithms consume nothing on either path).
 /// The equivalence property tests in `tests/engine_equivalence.rs` and the
 /// `SA_FORCE_CLOSURE_EVAL=1` CI leg pin this.
-///
-/// Implementations are shared immutably by every evaluation lane of the
-/// sharded engine, hence the `Sync` bound.
-pub trait MaskedTransition<S>: Sync {
+pub trait MaskedTransition<S> {
     /// Computes the transition of a node whose state has index `state_idx`
     /// and whose signal is the dense bitmask `signal_words` (over the
     /// compiled index). `rng` is the node's private counter-based coin
@@ -61,17 +58,10 @@ pub trait MaskedTransition<S>: Sync {
 /// only on the node's own state and its signal, never on node identity, the number of
 /// nodes or neighbor multiplicities (the [`Signal`] type makes the latter impossible
 /// to observe).
-///
-/// Algorithms must be [`Sync`] and their states [`Send`] + [`Sync`]: the
-/// sharded step engine evaluates the transitions of one step concurrently on
-/// a worker pool, reading the algorithm and the step's start configuration
-/// from several threads. In practice every SA algorithm is an immutable
-/// transition table plus a few parameters, so these bounds cost nothing.
-pub trait Algorithm: Sync {
+pub trait Algorithm {
     /// The state set `Q`. States are compared, hashed and ordered so that signals and
-    /// configuration snapshots can be built efficiently, and shareable across the
-    /// sharded engine's workers.
-    type State: Clone + Eq + Ord + Hash + Debug + Send + Sync;
+    /// configuration snapshots can be built efficiently.
+    type State: Clone + Eq + Ord + Hash + Debug;
 
     /// The output value set `O` of the task the algorithm solves.
     type Output: Clone + Eq + Debug;
@@ -91,8 +81,7 @@ pub trait Algorithm: Sync {
     /// depend only on that triple, never on how many coins other nodes
     /// tossed before it. Seeded trajectories are therefore independent of
     /// the order in which an activation set is evaluated — scripted
-    /// schedules may list nodes in any order, and the serial and sharded
-    /// engines produce bit-for-bit identical executions.
+    /// schedules may list nodes in any order.
     fn transition(
         &self,
         state: &Self::State,

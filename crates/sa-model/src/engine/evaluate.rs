@@ -3,10 +3,9 @@
 //! Evaluation is a *pure read* of the step's start configuration `C_t`: every
 //! activated node's next state is a function of `(C_t(v), S_v, coins(v, t))`
 //! only, where the coins come from a counter-based stream keyed by
-//! `(execution seed, node, step)` ([`rand::rngs::CounterRng`]). Nothing here
-//! mutates shared state, which is what lets the sharded engine fan the
-//! activation set out across workers — each running its own `Evaluator` —
-//! and still produce the same [`PendingUpdate`]s the serial engine would.
+//! `(execution seed, node, step)` ([`rand::rngs::CounterRng`]), so the
+//! order in which a step's activations are evaluated cannot change the
+//! [`PendingUpdate`]s.
 //!
 //! On the dense path each transition dispatches through up to three tiers,
 //! all observationally equivalent:
@@ -32,7 +31,7 @@
 //! allocations — and the mask-compiled transition applies on top; this is
 //! what shrinks the historical 14× dense/sparse gap. Exotic states (outside
 //! the index) degrade the lane's scratch to the sparse representation, which
-//! then stays until the engine-wide caches are flushed.
+//! then stays until the lane's caches are flushed.
 
 use super::sense::{DenseSensing, UNINDEXED};
 use super::EvalCtx;
@@ -78,9 +77,8 @@ pub struct PendingUpdate<S> {
     pub output_changed: bool,
 }
 
-/// One evaluation lane: scratch signal + transition memo.
-///
-/// The serial engine owns one; the sharded engine owns one per shard.
+/// One evaluation lane: scratch signal + transition memo, owned by the
+/// [`Execution`](crate::executor::Execution).
 pub(crate) struct Evaluator<S: Clone + Ord> {
     memo: Vec<MemoEntry<S>>,
     memo_cursor: usize,
@@ -123,7 +121,7 @@ impl<S: Clone + Ord> Evaluator<S> {
     }
 
     /// Aligns the scratch signal's representation with the execution's
-    /// current sensing state. Called once per step per lane, so the (rare)
+    /// current sensing state. Called once per step, so the (rare)
     /// representation switch allocates outside the steady-state loop.
     pub(crate) fn prepare<A>(&mut self, ctx: &EvalCtx<'_, A>)
     where

@@ -1,4 +1,4 @@
-//! The staged step pipeline and its pluggable execution engines.
+//! The staged step pipeline.
 //!
 //! A step of the SA model decomposes into four stages, mirroring the
 //! two-phase (sense/act) structure of the paper's synchronous step:
@@ -14,116 +14,59 @@
 //! 4. **account** ([`account`]) — metrics counters, round (ϱ-operator)
 //!    bookkeeping and trace/fault event records.
 //!
-//! Two stages do per-node work worth parallelizing: **evaluate** (a pure
-//! map over the activation set) and **apply** (`O(changed · deg)` presence
-//! count updates). A [`StepEngine`] encapsulates how both run:
-//!
-//! * [`SerialEngine`] runs everything on the calling thread;
-//! * [`ShardedEngine`] partitions the activation set into contiguous shards
-//!   evaluated on a persistent [`sa_runtime::pool::WorkerPool`], and — for
-//!   large changed sets — also shards the apply stage's count/mask updates
-//!   by *node range* (each lane owns a disjoint `&mut` slice of the
-//!   node-major count table, so the commit needs no locks and no `unsafe`).
-//!
-//! Because transitions read only the step snapshot and draw coins from
-//! streams keyed by `(seed, node, time)`, the shard count and evaluation
-//! order are **observationally irrelevant**: serial and sharded executions
-//! agree bit for bit — configurations, metrics, traces and coin outcomes.
-//! The equivalence property tests in `tests/engine_equivalence.rs` pin this.
-//!
-//! The engine is selected per execution via
-//! [`ExecutionBuilder::engine`](crate::executor::ExecutionBuilder::engine),
-//! or process-wide through the environment (`SA_ENGINE=sharded`,
-//! `SA_ENGINE_THREADS=4`), which CI uses to run the whole test suite under
-//! the sharded engine.
+//! The [`Execution`](crate::executor::Execution) drives the stages on the
+//! calling thread: it owns one evaluation lane (scratch signal + transition
+//! memo) and commits through [`apply`] directly. Because transitions read
+//! only the step snapshot and draw coins from streams keyed by
+//! `(seed, node, time)`, the order in which a step's activations are
+//! evaluated is observationally irrelevant.
 
 pub mod account;
 pub mod apply;
 pub mod evaluate;
 pub mod frontier;
 pub mod sense;
-pub mod serial;
-pub mod sharded;
 
-pub use apply::SHARDED_APPLY_MIN_CHANGED;
 pub use evaluate::PendingUpdate;
 pub use sense::MAX_DENSE_STATES;
-pub use serial::SerialEngine;
-pub use sharded::ShardedEngine;
 
 use crate::algorithm::{Algorithm, MaskedTransition};
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::signal::StateIndex;
 use frontier::DirtyFrontier;
 use sense::DenseSensing;
 use std::sync::Arc;
 
-/// Which engine executes the evaluate stage of each step.
+/// The step engine a sweep unit names. Serial is the only engine.
+///
+/// The type survives for compatibility, not choice: sweep specs and the
+/// benchmark tracer (`perfbench/tracer`) pass it to
+/// [`ExecutionBuilder::engine`](crate::executor::ExecutionBuilder::engine),
+/// and its label is part of every unit id (`--serial--`) and metric label
+/// (`@serial`), so existing outputs stay byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Evaluate the activation set on the calling thread.
+    /// Evaluate and commit every step on the calling thread.
     Serial,
-    /// Partition the activation set across a persistent worker pool.
-    Sharded {
-        /// Lanes of parallelism (the calling thread participates).
-        threads: usize,
-    },
 }
 
 impl EngineKind {
-    /// Reads the process-wide engine selection from the environment:
-    /// `SA_ENGINE=sharded` selects the sharded engine with
-    /// `SA_ENGINE_THREADS` lanes (default: the machine's available
-    /// parallelism); anything else selects the serial engine.
-    ///
-    /// Parsed once and cached for the process lifetime — every
-    /// [`Execution`](crate::executor::Execution) constructed without an
-    /// explicit engine consults this. Note that each sharded execution owns
-    /// its own worker pool; forcing `SA_ENGINE=sharded` is meant for CI
-    /// test runs and for dedicated large executions, not for combining with
-    /// an already-saturated trial fan-out (`par_map` across all cores plus
-    /// a default-width pool per trial oversubscribes the machine — set
-    /// `SA_ENGINE_THREADS` to something small if you really want both).
-    pub fn from_env() -> EngineKind {
-        static CACHED: std::sync::OnceLock<EngineKind> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("SA_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("sharded") => {
-                let threads = std::env::var("SA_ENGINE_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                    });
-                EngineKind::Sharded {
-                    threads: threads.max(1),
-                }
-            }
-            _ => EngineKind::Serial,
-        })
-    }
-
-    /// A short display label (`"serial"` / `"sharded"`).
+    /// A short display label (`"serial"`).
     pub fn label(&self) -> &'static str {
         match self {
             EngineKind::Serial => "serial",
-            EngineKind::Sharded { .. } => "sharded",
         }
     }
 }
 
 /// The read-only snapshot of one step handed to the evaluate stage.
-///
-/// Everything in here is shared (immutably) by every evaluation lane, which
-/// is what makes the sharded engine's concurrent reads safe.
 pub struct EvalCtx<'e, A: Algorithm> {
     pub(crate) alg: &'e A,
     pub(crate) graph: &'e Graph,
     pub(crate) config: &'e [A::State],
     pub(crate) sensing: Option<&'e DenseSensing<A::State>>,
     /// The execution's state index, available even when `sensing` is off
-    /// (sparse mode with an enumerable algorithm): lanes then rebuild their
+    /// (sparse mode with an enumerable algorithm): the lane then rebuilds its
     /// scratch signal as a dense bitmask instead of a `BTreeSet`.
     pub(crate) index: Option<&'e Arc<StateIndex<A::State>>>,
     /// The algorithm's mask-compiled transition, if any (and not disabled
@@ -140,65 +83,6 @@ pub struct EvalCtx<'e, A: Algorithm> {
     pub(crate) time: u64,
 }
 
-/// The mutable execution state handed to the apply stage.
-///
-/// Bundled so [`StepEngine::apply_into`] can stay object-safe while the
-/// sensing type remains crate-private.
-pub struct ApplyCtx<'e, A: Algorithm> {
-    pub(crate) graph: &'e Graph,
-    pub(crate) config: &'e mut [A::State],
-    pub(crate) sensing: Option<&'e mut DenseSensing<A::State>>,
-    pub(crate) last_changed: &'e mut Vec<NodeId>,
-}
-
-/// A pluggable evaluate-stage executor.
-///
-/// Implementations must be *observationally equivalent*: given the same
-/// [`EvalCtx`] and activation slice they must produce the same updates in
-/// the same order. They may differ in internal caching (each lane keeps its
-/// own transition memo) and in how they spread the work across threads.
-pub trait StepEngine<A: Algorithm> {
-    /// The engine's kind (with its effective lane count).
-    fn kind(&self) -> EngineKind;
-
-    /// Evaluates the transitions of `active` (already deduplicated, every id
-    /// in range) against the snapshot in `ctx`, writing one update per
-    /// activation into `out` (cleared first) in activation order.
-    fn evaluate_into(
-        &mut self,
-        ctx: &EvalCtx<'_, A>,
-        active: &[NodeId],
-        out: &mut Vec<PendingUpdate<A::State>>,
-    );
-
-    /// Evaluates a single node (the executor's uniform-configuration fast
-    /// path, where one transition stands for all nodes).
-    fn evaluate_one(&mut self, ctx: &EvalCtx<'_, A>, v: NodeId) -> PendingUpdate<A::State>;
-
-    /// Commits `updates` to the configuration and the sensing state (the
-    /// **apply** stage). The serial engine commits on the calling thread;
-    /// the sharded engine additionally fans large changed sets out across
-    /// its worker pool by node range (see `apply::commit_sharded`). Both
-    /// must produce identical post-states — the commit is a commutative sum
-    /// per count cell, with each cell owned by exactly one lane.
-    fn apply_into(&mut self, ctx: ApplyCtx<'_, A>, updates: &mut [PendingUpdate<A::State>]);
-
-    /// Invalidates per-lane caches when the execution degrades to the sparse
-    /// signal fallback (the dense index the memos refer to is gone).
-    fn on_degrade(&mut self);
-}
-
-/// Builds the engine for `kind`.
-pub(crate) fn build<'e, A>(kind: EngineKind) -> Box<dyn StepEngine<A> + 'e>
-where
-    A: Algorithm + 'e,
-{
-    match kind {
-        EngineKind::Serial => Box::new(SerialEngine::new()),
-        EngineKind::Sharded { threads } => Box::new(ShardedEngine::new(threads)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +90,5 @@ mod tests {
     #[test]
     fn labels_distinguish_engine_kinds() {
         assert_eq!(EngineKind::Serial.label(), "serial");
-        assert_eq!(EngineKind::Sharded { threads: 4 }.label(), "sharded");
-        assert_ne!(EngineKind::Serial, EngineKind::Sharded { threads: 1 });
     }
 }

@@ -11,15 +11,10 @@
 //!
 //! Counts are stored **node-major** (`counts[v * |Q| + q]`): the two cells a
 //! state change touches per neighbor share that neighbor's row (usually one
-//! cache line, adjacent to the also-touched mask words), and — decisively —
-//! the per-node data becomes a contiguous block, so the *apply* stage can be
-//! sharded across the worker pool by handing each lane a disjoint
-//! `&mut` node range (`counts`/`masks` sub-slices) with no locking and no
-//! `unsafe` (see `apply::commit_sharded`).
+//! cache line, adjacent to the also-touched mask words).
 //!
 //! The sense stage is **read-only during a step's evaluate stage** — every
-//! worker of the sharded engine reads the same immutable snapshot of the
-//! masks, which is what makes sharding the activation set safe — and is
+//! activation reads the same immutable snapshot of the masks — and is
 //! written back by the apply stage through `DenseSensing::apply_change` (or
 //! its bulk variants `apply_uniform_change` / `apply_batch_change`).
 
@@ -44,14 +39,14 @@ pub(crate) const UNINDEXED: u32 = u32::MAX;
 pub(crate) struct DenseSensing<S: Ord> {
     pub(crate) index: Arc<StateIndex<S>>,
     /// Mask words per node.
-    pub(crate) words: usize,
+    words: usize,
     /// Number of nodes.
-    pub(crate) n: usize,
+    n: usize,
     /// Number of indexed states `|Q|`.
-    pub(crate) q: usize,
+    q: usize,
     /// `counts[v * q + qi]`: nodes of `N⁺(v)` currently in state `qi`.
     /// Node-major layout — see the module docs.
-    pub(crate) counts: Vec<u16>,
+    counts: Vec<u16>,
     /// `masks[v * words ..][..words]`: the signal bitmask of node `v`.
     pub(crate) masks: Vec<u64>,
     /// The index of every node's current state (avoids re-searching on change).
@@ -153,21 +148,10 @@ impl<S: Ord> DenseSensing<S> {
         }
     }
 
-    /// Settles the histogram and uniform flag for one node's `old → new`
-    /// state change. Shared by the serial, sharded and batch apply paths so
-    /// they agree bit for bit.
-    #[inline]
-    pub(crate) fn account_change(&mut self, old_idx: u32, new_idx: u32) {
-        self.state_counts[old_idx as usize] -= 1;
-        self.state_counts[new_idx as usize] += 1;
-        self.uniform_state =
-            (self.state_counts[new_idx as usize] == self.n as u32).then_some(new_idx);
-    }
-
     /// Materializes a count table deferred by uniform lockstep steps (see
     /// `counts_at`): moves the stale uniform row to the current uniform
     /// state. Must run before any incremental count mutation.
-    pub(crate) fn materialize_counts(&mut self) {
+    fn materialize_counts(&mut self) {
         let Some(at) = self.counts_at.take() else {
             return;
         };
@@ -196,7 +180,9 @@ impl<S: Ord> DenseSensing<S> {
         let old = self.state_idx[v] as usize;
         let new = new_idx as usize;
         self.state_idx[v] = new_idx;
-        self.account_change(old as u32, new_idx);
+        self.state_counts[old] -= 1;
+        self.state_counts[new] += 1;
+        self.uniform_state = (self.state_counts[new] == self.n as u32).then_some(new_idx);
         self.decrement(v, old);
         self.increment(v, new);
         for &w in graph.neighbors(v) {

@@ -13,29 +13,27 @@
 //!
 //! # The staged step pipeline
 //!
-//! [`Execution::step`] drives the four-stage pipeline of the [`engine`]
-//! module — **sense** (incremental neighborhood signal snapshots),
-//! **evaluate** (transition computation on a pluggable [`StepEngine`]),
-//! **apply** (simultaneous commit) and **account** (metrics, rounds, trace).
-//! The evaluate stage runs either serially or sharded across a worker pool
-//! ([`EngineKind`]); both produce bit-for-bit identical executions because
-//! transitions read only the step's start snapshot and draw their coins from
-//! counter-based streams keyed by `(seed, node, time)`.
+//! [`Execution::step`] drives the four-stage pipeline of the
+//! [`engine`](crate::engine) module — **sense** (incremental neighborhood
+//! signal snapshots), **evaluate** (transition computation on the
+//! execution's evaluation lane), **apply** (simultaneous commit) and
+//! **account** (metrics, rounds, trace). Transitions read only the step's
+//! start snapshot and draw their coins from counter-based streams keyed by
+//! `(seed, node, time)`, so the activation order within a step cannot
+//! change the result.
 //!
 //! On top of the pipeline the executor layers the performance machinery
 //! introduced earlier: dense bitmask signals over a precomputed
 //! [`StateIndex`] with transparent sparse
-//! fallback, per-lane transition memoization for deterministic algorithms, a
+//! fallback, transition memoization for deterministic algorithms, a
 //! uniform-configuration bulk fast path, and buffer reuse throughout — the
-//! warm step loop performs **zero heap allocations** (tracing off), on both
-//! engines.
+//! warm step loop performs **zero heap allocations** (tracing off).
 
 use crate::algorithm::{Algorithm, LegitimacyOracle, MaskedTransition};
+use crate::engine::evaluate::Evaluator;
 use crate::engine::frontier::DirtyFrontier;
 use crate::engine::sense::{DenseSensing, UNINDEXED};
-use crate::engine::{
-    self, account, apply, ApplyCtx, EngineKind, EvalCtx, PendingUpdate, StepEngine,
-};
+use crate::engine::{account, apply, EngineKind, EvalCtx, PendingUpdate};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::NodeCounters;
 use crate::scheduler::ActivationSet;
@@ -175,8 +173,8 @@ pub struct Execution<'a, A: Algorithm> {
     batch_min_changed: usize,
     /// Whether transitions may be memoized (algorithm declared deterministic).
     deterministic: bool,
-    /// The evaluate-stage engine (serial or sharded).
-    engine: Box<dyn StepEngine<A> + 'a>,
+    /// The evaluate stage's scratch signal and transition memo.
+    lane: Evaluator<A::State>,
     /// The identity permutation `0..n`, so uniform steps can report "all nodes
     /// changed" without rewriting a buffer.
     identity: Vec<NodeId>,
@@ -193,8 +191,7 @@ pub struct Execution<'a, A: Algorithm> {
 
 impl<'a, A: Algorithm> Execution<'a, A> {
     /// Creates an execution from an explicit initial configuration, choosing
-    /// the signal engine automatically ([`SignalMode::Auto`]) and the step
-    /// engine from the environment ([`EngineKind::from_env`]).
+    /// the signal engine automatically ([`SignalMode::Auto`]).
     ///
     /// # Panics
     ///
@@ -204,8 +201,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         Self::with_mode(algorithm, graph, initial, seed, SignalMode::Auto)
     }
 
-    /// Creates an execution with an explicit [`SignalMode`] (step engine from
-    /// the environment).
+    /// Creates an execution with an explicit [`SignalMode`].
     ///
     /// # Panics
     ///
@@ -218,44 +214,19 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         seed: u64,
         mode: SignalMode,
     ) -> Self {
-        Self::with_engine(
-            algorithm,
-            graph,
-            initial,
-            seed,
-            mode,
-            EngineKind::from_env(),
-        )
-    }
-
-    /// Creates an execution with explicit signal and step engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` differs from the number of nodes, or if the graph is
-    /// empty.
-    pub fn with_engine(
-        algorithm: &'a A,
-        graph: &'a Graph,
-        initial: Vec<A::State>,
-        seed: u64,
-        mode: SignalMode,
-        kind: EngineKind,
-    ) -> Self {
-        Self::with_options(algorithm, graph, initial, seed, mode, kind, None, None)
+        Self::with_options(algorithm, graph, initial, seed, mode, None, None)
     }
 
     /// The full constructor behind the builder: like
-    /// [`Execution::with_engine`] plus an explicit mask-transition policy
-    /// (`None` = default: enabled unless `SA_FORCE_CLOSURE_EVAL` is set).
-    #[allow(clippy::too_many_arguments)]
+    /// [`Execution::with_mode`] plus explicit mask-transition and active-set
+    /// policies (`None` = default: enabled unless `SA_FORCE_CLOSURE_EVAL` /
+    /// `SA_FORCE_FULL_EVAL` is set).
     fn with_options(
         algorithm: &'a A,
         graph: &'a Graph,
         initial: Vec<A::State>,
         seed: u64,
         mode: SignalMode,
-        kind: EngineKind,
         masked_enabled: Option<bool>,
         active_set_enabled: Option<bool>,
     ) -> Self {
@@ -308,7 +279,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             dirty,
             batch_min_changed: (n * n / (2 * graph.edge_count() + n)).max(2),
             deterministic,
-            engine: engine::build(kind),
+            lane: Evaluator::new(),
             identity: (0..n).collect(),
             all_changed: false,
             scratch_acts: ActivationSet::new(),
@@ -389,11 +360,6 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         }
     }
 
-    /// The step engine executing the evaluate stage.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine.kind()
-    }
-
     /// The nodes whose state changed in the most recent step (empty before the
     /// first step).
     pub fn last_changed(&self) -> &[NodeId] {
@@ -449,8 +415,8 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     }
 
     /// The signal of node `v` under the current configuration, as a fresh
-    /// standalone value (allocates; the step loop itself uses the engines'
-    /// reused scratch signals instead).
+    /// standalone value (allocates; the step loop itself uses the lane's
+    /// reused scratch signal instead).
     pub fn signal(&self, v: NodeId) -> Signal<A::State> {
         match &self.sensing {
             Some(sensing) => {
@@ -496,9 +462,9 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// boundary (see [`crate::snapshot`]).
     ///
     /// The snapshot plus the construction inputs (algorithm, graph, signal
-    /// mode, engine kind) fully determine the rest of the run: transition
-    /// coins are pure functions of `(seed, node, step)`, and the scheduler
-    /// RNG stream position is captured exactly — so a restored execution is
+    /// mode) fully determine the rest of the run: transition coins are pure
+    /// functions of `(seed, node, step)`, and the scheduler RNG stream
+    /// position is captured exactly — so a restored execution is
     /// bit-identical to one that was never interrupted. Any recorded trace is
     /// *not* captured.
     pub fn snapshot(&self) -> ExecutionSnapshot<A::State> {
@@ -519,8 +485,8 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     ///
     /// The sense stage is rebuilt from the restored configuration (dense iff
     /// the snapshot was dense and the algorithm still enumerates a usable
-    /// state space) and all per-lane engine caches are flushed. If tracing is
-    /// enabled, the trace restarts at the restored configuration.
+    /// state space) and the evaluation lane's caches are flushed. If tracing
+    /// is enabled, the trace restarts at the restored configuration.
     ///
     /// # Panics
     ///
@@ -560,20 +526,20 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         } else {
             None
         };
-        // The dense index the per-lane memo/scratch caches referred to is
+        // The dense index the lane's memo/scratch caches referred to is
         // gone; flush them regardless of the restored representation.
-        self.engine.on_degrade();
+        self.lane.reset();
     }
 
     /// Drops the dense sense stage and continues on the sparse fallback.
     ///
     /// The state index and the mask-compiled transition are kept: nodes
     /// whose neighborhoods stay inside the enumerated space still evaluate
-    /// through word-level scratch signals; only lanes that actually meet the
-    /// exotic states fall back to `BTreeSet` scratches.
+    /// through word-level scratch signals; the lane falls back to a
+    /// `BTreeSet` scratch only once it actually meets the exotic states.
     fn degrade_to_sparse(&mut self) {
         self.sensing = None;
-        self.engine.on_degrade();
+        self.lane.reset();
     }
 
     /// Overwrites the state of node `v` — a *transient fault* (or an adversarial
@@ -627,8 +593,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// coins from a stream keyed by `(seed, node, time)`, the *order* in
     /// which the activation set lists the nodes is irrelevant even for
     /// randomized algorithms — a scripted step `[3, 1]` produces the same
-    /// `C_{t+1}` as `[1, 3]` — and the serial and sharded engines agree bit
-    /// for bit.
+    /// `C_{t+1}` as `[1, 3]`.
     ///
     /// # Panics
     ///
@@ -677,24 +642,25 @@ impl<'a, A: Algorithm> Execution<'a, A> {
 
         // SENSE + EVALUATE: compute the new states of all activated nodes
         // from the *current* configuration C_t (the per-node signals must not
-        // observe any of this step's updates) on the configured engine.
+        // observe any of this step's updates).
         let mut updates = std::mem::take(&mut self.scratch_updates);
-        self.engine.evaluate_into(
-            &EvalCtx {
-                alg: self.algorithm,
-                graph: self.graph,
-                config: &self.config,
-                sensing: self.sensing.as_ref(),
-                index: self.index.as_ref(),
-                masked: self.masked.as_deref(),
-                dirty: self.dirty.as_ref(),
-                deterministic: self.deterministic,
-                seed: self.seed,
-                time: self.time,
-            },
-            act,
-            &mut updates,
-        );
+        let ctx = EvalCtx {
+            alg: self.algorithm,
+            graph: self.graph,
+            config: &self.config,
+            sensing: self.sensing.as_ref(),
+            index: self.index.as_ref(),
+            masked: self.masked.as_deref(),
+            dirty: self.dirty.as_ref(),
+            deterministic: self.deterministic,
+            seed: self.seed,
+            time: self.time,
+        };
+        updates.clear();
+        self.lane.prepare(&ctx);
+        for &v in act {
+            updates.push(self.lane.evaluate(&ctx, v));
+        }
         self.dedup_buf = dedup;
 
         // One scan classifies the step for the bulk-apply fast paths: do all
@@ -760,8 +726,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
 
         // APPLY: commit simultaneously (and update the incremental sensing
         // state for nodes that actually changed) — in bulk for a detected
-        // partial batch, through the engine (serial, or sharded by node
-        // range for large changed sets) otherwise.
+        // partial batch, node by node otherwise.
         match batch {
             Some((old_idx, new_idx)) => apply::commit_batch(
                 &mut updates,
@@ -771,14 +736,12 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                 old_idx,
                 new_idx,
             ),
-            None => self.engine.apply_into(
-                ApplyCtx {
-                    graph: self.graph,
-                    config: &mut self.config,
-                    sensing: self.sensing.as_mut(),
-                    last_changed: &mut self.last_changed,
-                },
+            None => apply::commit(
                 &mut updates,
+                self.graph,
+                &mut self.config,
+                self.sensing.as_mut(),
+                &mut self.last_changed,
             ),
         }
         self.all_changed = false;
@@ -821,21 +784,20 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// if the transition leaves the enumerated state space — safe to retry
     /// there because a deterministic transition consumes no randomness.
     fn step_uniform_fast(&mut self, si: u32) -> Option<StepOutcome> {
-        let update = self.engine.evaluate_one(
-            &EvalCtx {
-                alg: self.algorithm,
-                graph: self.graph,
-                config: &self.config,
-                sensing: self.sensing.as_ref(),
-                index: self.index.as_ref(),
-                masked: self.masked.as_deref(),
-                dirty: self.dirty.as_ref(),
-                deterministic: self.deterministic,
-                seed: self.seed,
-                time: self.time,
-            },
-            0,
-        );
+        let ctx = EvalCtx {
+            alg: self.algorithm,
+            graph: self.graph,
+            config: &self.config,
+            sensing: self.sensing.as_ref(),
+            index: self.index.as_ref(),
+            masked: self.masked.as_deref(),
+            dirty: self.dirty.as_ref(),
+            deterministic: self.deterministic,
+            seed: self.seed,
+            time: self.time,
+        };
+        self.lane.prepare(&ctx);
+        let update = self.lane.evaluate(&ctx, 0);
         if update.changed && update.new_idx == UNINDEXED {
             return None;
         }
@@ -1009,15 +971,14 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     }
 }
 
-/// Builder for [`Execution`] supporting random initial configurations, tracing,
-/// signal-engine and step-engine selection.
+/// Builder for [`Execution`] supporting random initial configurations, tracing
+/// and signal-engine selection.
 pub struct ExecutionBuilder<'a, A: Algorithm> {
     algorithm: &'a A,
     graph: &'a Graph,
     seed: u64,
     trace: bool,
     mode: SignalMode,
-    engine: Option<EngineKind>,
     masked: Option<bool>,
     active_set: Option<bool>,
     streaming_counters: bool,
@@ -1032,7 +993,6 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
             seed: 0,
             trace: false,
             mode: SignalMode::Auto,
-            engine: None,
             masked: None,
             active_set: None,
             streaming_counters: false,
@@ -1058,9 +1018,11 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
         self
     }
 
-    /// Selects the step engine (default: [`EngineKind::from_env`]).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = Some(kind);
+    /// Names the step engine. [`EngineKind::Serial`] is the only one, so
+    /// this changes nothing; it stays for callers that pass a sweep unit's
+    /// engine through (see [`EngineKind`]).
+    pub fn engine(self, kind: EngineKind) -> Self {
+        let EngineKind::Serial = kind;
         self
     }
 
@@ -1097,14 +1059,12 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
 
     /// Finishes the builder with an explicit initial configuration.
     pub fn initial(self, initial: Vec<A::State>) -> Execution<'a, A> {
-        let kind = self.engine.unwrap_or_else(EngineKind::from_env);
         let mut exec = Execution::with_options(
             self.algorithm,
             self.graph,
             initial,
             self.seed,
             self.mode,
-            kind,
             self.masked,
             self.active_set,
         );
@@ -1477,32 +1437,6 @@ mod tests {
             backward.step(&desc);
             assert_eq!(forward.configuration(), backward.configuration());
         }
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_smoke() {
-        let g = Graph::grid(4, 4);
-        let init: Vec<u8> = (0..16).map(|v| (v % 4) as u8).collect();
-        let mut serial = ExecutionBuilder::new(&Coin, &g)
-            .seed(7)
-            .engine(EngineKind::Serial)
-            .initial(init.clone());
-        let mut sharded = ExecutionBuilder::new(&Coin, &g)
-            .seed(7)
-            .engine(EngineKind::Sharded { threads: 3 })
-            .initial(init);
-        assert_eq!(serial.engine_kind(), EngineKind::Serial);
-        assert_eq!(sharded.engine_kind(), EngineKind::Sharded { threads: 3 });
-        let mut sched_a = UniformRandomScheduler::new(0.7);
-        let mut sched_b = UniformRandomScheduler::new(0.7);
-        for _ in 0..50 {
-            let a = serial.step_with(&mut sched_a);
-            let b = sharded.step_with(&mut sched_b);
-            assert_eq!(a, b);
-            assert_eq!(serial.configuration(), sharded.configuration());
-        }
-        assert_eq!(serial.counters(), sharded.counters());
-        assert!(sharded.validate_incremental_sensing());
     }
 
     #[test]

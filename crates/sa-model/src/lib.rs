@@ -22,9 +22,7 @@
 //!   robin, adversarial laggard, and scripted schedules,
 //! * [`executor`] — the execution driver with exact *round* (ϱ-operator) accounting,
 //! * [`engine`] — the staged step pipeline (sense → evaluate → apply →
-//!   account) behind the [`engine::StepEngine`] trait, with a serial and a
-//!   sharded (worker-pool) implementation that produce bit-for-bit identical
-//!   executions,
+//!   account) the executor drives on the calling thread,
 //! * [`explore`] — exhaustive exploration of the global configuration space
 //!   for tiny instances, certifying closure and convergence with
 //!   counterexample traces (the `sa verify` backend),

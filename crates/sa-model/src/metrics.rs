@@ -95,8 +95,8 @@ impl Summary {
 /// Tracks, for every node, how many steps activated it, how many of those
 /// steps changed its state, and how many changed its *output value*
 /// (transitions between output and non-output states count as changes).
-/// Kept in one place so the serial and sharded engines account identically
-/// and so equivalence tests can compare whole-execution metrics at once.
+/// Kept in one place so equivalence tests can compare whole-execution
+/// metrics at once.
 ///
 /// Two storage modes:
 ///

@@ -191,15 +191,9 @@ impl Topology {
                 }
                 Graph::from_edges(n, &edges)
             }
-            Topology::BalancedTree { arity, depth } => {
+            Topology::BalancedTree { arity, .. } => {
                 assert!(*arity >= 1);
-                // number of nodes = 1 + a + a^2 + ... + a^depth
-                let mut count = 1usize;
-                let mut level = 1usize;
-                for _ in 0..*depth {
-                    level *= arity;
-                    count += level;
-                }
+                let count = self.node_count();
                 let mut edges = Vec::with_capacity(count.saturating_sub(1));
                 // children of node i are a*i + 1 .. a*i + a (heap layout)
                 for v in 0..count {
@@ -347,6 +341,34 @@ impl Topology {
                 panic!("randomized topology requires a seed; use Topology::build")
             }
             _ => self.build(0),
+        }
+    }
+
+    /// The number of nodes [`Topology::build`] produces, in closed form
+    /// (every family fixes its node count; only the edges are random), so
+    /// callers that need just `n` skip the build.
+    pub fn node_count(&self) -> usize {
+        match self {
+            Topology::Path { n }
+            | Topology::Cycle { n }
+            | Topology::Complete { n }
+            | Topology::Star { n }
+            | Topology::ErdosRenyi { n, .. }
+            | Topology::DamagedClique { n, .. }
+            | Topology::RandomRegular { n, .. } => *n,
+            Topology::Grid { rows, cols } | Topology::Torus { rows, cols } => rows * cols,
+            Topology::Hypercube { dim } => 1usize << dim,
+            // 1 + a + a^2 + ... + a^depth
+            Topology::BalancedTree { arity, depth } => {
+                let mut count = 1usize;
+                let mut level = 1usize;
+                for _ in 0..*depth {
+                    level *= arity;
+                    count += level;
+                }
+                count
+            }
+            Topology::Caveman { clusters, clique } => clusters * clique,
         }
     }
 
@@ -499,6 +521,42 @@ mod tests {
         let a = Topology::RandomRegular { n: 32, deg: 4 }.build(9);
         let b = Topology::RandomRegular { n: 32, deg: 4 }.build(9);
         assert_eq!(a.edges(), b.edges());
+    }
+
+    #[test]
+    fn node_count_matches_the_built_graph() {
+        let deterministic = [
+            Topology::Path { n: 7 },
+            Topology::Cycle { n: 9 },
+            Topology::Complete { n: 5 },
+            Topology::Star { n: 6 },
+            Topology::Grid { rows: 3, cols: 5 },
+            Topology::Torus { rows: 4, cols: 3 },
+            Topology::Hypercube { dim: 4 },
+            Topology::BalancedTree { arity: 3, depth: 3 },
+            Topology::BalancedTree { arity: 1, depth: 4 },
+            Topology::Caveman {
+                clusters: 4,
+                clique: 3,
+            },
+        ];
+        for t in &deterministic {
+            assert_eq!(t.node_count(), t.build(0).node_count(), "{}", t.label());
+        }
+        let randomized = [
+            Topology::ErdosRenyi { n: 12, p: 0.5 },
+            Topology::DamagedClique {
+                n: 10,
+                drop: 0.2,
+                max_diameter: 3,
+            },
+            Topology::RandomRegular { n: 20, deg: 3 },
+        ];
+        for t in &randomized {
+            for seed in [1, 2] {
+                assert_eq!(t.node_count(), t.build(seed).node_count(), "{}", t.label());
+            }
+        }
     }
 
     #[test]

@@ -2,26 +2,22 @@
 //! the synchronous (and round-robin) step loop performs **zero heap
 //! allocations** — signals are bitmask copies, activation sets and update
 //! buffers are reused, and the transition memo rewrites its slots in place.
-//! The property holds on **both step engines**: the sharded engine's only
-//! allocations are its one-time pool spawn and the shard buffers' growth to
-//! steady-state capacity, all during construction/warm-up.
+//! The same holds for the partial-batch apply, closed-neighborhood scans and
+//! active-set (dirty-frontier) execution.
 //!
 //! Measured with a counting global allocator. This file deliberately contains
 //! a single `#[test]`: the counter is process-global, so concurrent tests in
-//! the same binary would pollute it. (The sharded engine's *parked* workers
-//! perform no allocation between broadcasts, so they do not pollute the
-//! serial sections either.)
+//! the same binary would pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stone_age_unison::model::algorithm::StateSpace;
 use stone_age_unison::model::prelude::*;
-use stone_age_unison::model::EngineKind;
 use stone_age_unison::unison::{AlgAu, Turn};
 
 mod common;
-use common::{Cycler, Promote};
+use common::Promote;
 
 struct CountingAllocator;
 
@@ -119,81 +115,6 @@ fn warm_step_loop_allocates_nothing() {
         0,
         "round-robin steps must not allocate once warm"
     );
-
-    // --- sharded engine, adversarial start ----------------------------------
-    // Pool threads, shard buffers and per-lane scratch signals/memos are all
-    // allocated during construction and the warm-up steps; the warm broadcast
-    // loop itself (condvar wakeups + epoch bumps + buffer reuse) must be
-    // allocation-free, like the serial engine's.
-    let mut exec = ExecutionBuilder::new(&alg, &graph)
-        .seed(42)
-        .engine(EngineKind::Sharded { threads: 4 })
-        .random_initial(&palette);
-    assert!(exec.uses_dense_signals());
-    assert_eq!(exec.engine_kind(), EngineKind::Sharded { threads: 4 });
-    let mut sched = SynchronousScheduler;
-    for _ in 0..50 {
-        exec.step_with(&mut sched);
-    }
-    let before = allocations();
-    for _ in 0..200 {
-        exec.step_with(&mut sched);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "sharded synchronous steps must not allocate once warm"
-    );
-
-    // --- sharded engine, synchronized (uniform) start -----------------------
-    let mut exec = ExecutionBuilder::new(&alg, &graph)
-        .seed(7)
-        .engine(EngineKind::Sharded { threads: 4 })
-        .uniform(Turn::Able(1));
-    let mut sched = SynchronousScheduler;
-    for _ in 0..10 {
-        exec.step_with(&mut sched);
-    }
-    let before = allocations();
-    for _ in 0..200 {
-        exec.step_with(&mut sched);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "sharded uniform lockstep steps must not allocate"
-    );
-
-    // --- sharded apply stage (changed sets above the sharding threshold) ----
-    // Every Cycler step changes all 2048 nodes, so the sharded engine fans
-    // the apply stage's count updates across the pool; the per-step shard
-    // slots are stack-allocated, so the warm loop must stay at zero.
-    {
-        use stone_age_unison::model::engine::SHARDED_APPLY_MIN_CHANGED;
-        let graph = Topology::RandomRegular { n: 2048, deg: 5 }.build(23);
-        assert!(graph.node_count() >= 2 * SHARDED_APPLY_MIN_CHANGED);
-        let init: Vec<u8> = (0..graph.node_count())
-            .map(|v| ((v * 13 + 4) % 6) as u8)
-            .collect();
-        let mut exec = ExecutionBuilder::new(&Cycler, &graph)
-            .seed(1)
-            .engine(EngineKind::Sharded { threads: 4 })
-            .initial(init);
-        assert!(exec.uses_dense_signals());
-        let mut sched = SynchronousScheduler;
-        for _ in 0..5 {
-            exec.step_with(&mut sched);
-        }
-        let before = allocations();
-        for _ in 0..60 {
-            exec.step_with(&mut sched);
-        }
-        assert_eq!(
-            allocations() - before,
-            0,
-            "sharded-apply steps must not allocate once warm"
-        );
-    }
 
     // --- partial-batch apply -------------------------------------------------
     // Re-seeding zeros through `corrupt` makes every step a near-uniform

@@ -5,8 +5,8 @@
 //! restore → run to completion equals an uninterrupted run in every
 //! observable** (configurations, step outcomes, per-node metrics, round
 //! accounting, fault victims). These tests pin that property across all six
-//! schedulers, dense and sparse signal modes, the serial and sharded step
-//! engines, with and without fault injection, for the paper's deterministic
+//! schedulers, dense and sparse signal modes, with and without fault
+//! injection, for the paper's deterministic
 //! unison algorithm and for a randomized algorithm (whose identical
 //! trajectories additionally prove the per-node coin streams re-key
 //! correctly across the resume boundary).
@@ -22,7 +22,6 @@ use sa_bench::sweep::{
 use stone_age_unison::model::algorithm::{Algorithm, StateSpace};
 use stone_age_unison::model::json::JsonValue;
 use stone_age_unison::model::prelude::*;
-use stone_age_unison::model::EngineKind;
 use stone_age_unison::unison::AlgAu;
 
 /// A randomized toy algorithm with a variable number of RNG draws per
@@ -101,7 +100,6 @@ fn assert_roundtrip_equivalence<A, E, D>(
     init: Vec<A::State>,
     seed: u64,
     mode: SignalMode,
-    engine: EngineKind,
     make_sched: &dyn Fn() -> Box<dyn Scheduler>,
     fault_palette: Option<&[A::State]>,
     encode: E,
@@ -117,12 +115,10 @@ fn assert_roundtrip_equivalence<A, E, D>(
     let mut reference = ExecutionBuilder::new(alg, graph)
         .seed(seed)
         .signal_mode(mode)
-        .engine(engine)
         .initial(init.clone());
     let mut twin = ExecutionBuilder::new(alg, graph)
         .seed(seed)
         .signal_mode(mode)
-        .engine(engine)
         .initial(init);
     let mut sched_ref = make_sched();
     let mut sched_twin = make_sched();
@@ -171,7 +167,6 @@ fn assert_roundtrip_equivalence<A, E, D>(
     .expect("snapshot deserializes");
     let mut resumed = ExecutionBuilder::new(alg, graph)
         .signal_mode(mode)
-        .engine(engine)
         .resume(&snap);
     let mut sched_resumed = make_sched();
     sched_resumed.restore_position(sched_position);
@@ -214,9 +209,8 @@ fn assert_roundtrip_equivalence<A, E, D>(
     );
 }
 
-/// AlgAU (deterministic) across six schedulers × dense/sparse ×
-/// serial/sharded, with fault injection, cutting at several offsets
-/// (including mid-round cuts).
+/// AlgAU (deterministic) across six schedulers × dense/sparse, with fault
+/// injection, cutting at several offsets (including mid-round cuts).
 #[test]
 fn algau_checkpoint_roundtrip_across_schedulers_modes_engines_and_faults() {
     let graph = Topology::Grid { rows: 3, cols: 4 }.build_deterministic();
@@ -230,28 +224,21 @@ fn algau_checkpoint_roundtrip_across_schedulers_modes_engines_and_faults() {
     let dec = |v: &JsonValue| v.as_usize().and_then(|i| palette.get(i).copied());
     for (sched_name, factory) in scheduler_factories(n) {
         for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
-            for engine in [EngineKind::Serial, EngineKind::Sharded { threads: 2 }] {
-                for cut in [1usize, 13] {
-                    let context = format!(
-                        "algau/{sched_name}/{mode_name}/{}/cut={cut}",
-                        engine.label()
-                    );
-                    assert_roundtrip_equivalence(
-                        &alg,
-                        &graph,
-                        init.clone(),
-                        0xc0_ffee,
-                        mode,
-                        engine,
-                        factory.as_ref(),
-                        Some(&palette),
-                        enc,
-                        dec,
-                        cut,
-                        40,
-                        &context,
-                    );
-                }
+            for cut in [1usize, 13] {
+                assert_roundtrip_equivalence(
+                    &alg,
+                    &graph,
+                    init.clone(),
+                    0xc0_ffee,
+                    mode,
+                    factory.as_ref(),
+                    Some(&palette),
+                    enc,
+                    dec,
+                    cut,
+                    40,
+                    &format!("algau/{sched_name}/{mode_name}/cut={cut}"),
+                );
             }
         }
     }
@@ -269,24 +256,20 @@ fn randomized_checkpoint_roundtrip_across_schedulers_modes_engines_and_faults() 
     let dec = |v: &JsonValue| v.as_usize().map(|x| x as u8);
     for (sched_name, factory) in scheduler_factories(n) {
         for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
-            for engine in [EngineKind::Serial, EngineKind::Sharded { threads: 3 }] {
-                let context = format!("noisy/{sched_name}/{mode_name}/{}", engine.label());
-                assert_roundtrip_equivalence(
-                    &NoisyAdopt,
-                    &graph,
-                    init.clone(),
-                    0x5eed,
-                    mode,
-                    engine,
-                    factory.as_ref(),
-                    Some(&palette),
-                    enc,
-                    dec,
-                    17,
-                    45,
-                    &context,
-                );
-            }
+            assert_roundtrip_equivalence(
+                &NoisyAdopt,
+                &graph,
+                init.clone(),
+                0x5eed,
+                mode,
+                factory.as_ref(),
+                Some(&palette),
+                enc,
+                dec,
+                17,
+                45,
+                &format!("noisy/{sched_name}/{mode_name}"),
+            );
         }
     }
 }
@@ -337,8 +320,8 @@ fn checkpoint_after_degrade_restores_on_the_sparse_path() {
 
 /// The sweep runner's JSON checkpoint documents resume bit-identically:
 /// a unit killed every few steps and resumed from disk-format checkpoints
-/// finishes with exactly the result of an uninterrupted run — across both
-/// engines and with fault injection (the CI `sweep-smoke` job re-checks
+/// finishes with exactly the result of an uninterrupted run — across two
+/// schedulers and with fault injection (the CI `sweep-smoke` job re-checks
 /// this end-to-end through the `sa` binary and file system).
 #[test]
 fn sweep_unit_kill_resume_matches_uninterrupted() {
@@ -350,7 +333,6 @@ fn sweep_unit_kill_resume_matches_uninterrupted() {
             "kind": "stabilization",
             "topologies": [{"kind": "torus", "rows": 3, "cols": 3}],
             "schedulers": ["round-robin", {"kind": "uniform-random", "p": 0.5}],
-            "engines": ["serial", {"kind": "sharded", "threads": 2}],
             "fault": {"kind": "periodic", "period": 4, "count": 1},
             "seeds": 2,
             "max_rounds": 5000
@@ -359,7 +341,7 @@ fn sweep_unit_kill_resume_matches_uninterrupted() {
     )
     .expect("spec parses");
     let units = spec.execution_units();
-    assert_eq!(units.len(), 8);
+    assert_eq!(units.len(), 4);
     let complete = |unit: &SweepUnit, policy: &CheckpointPolicy<'_>| {
         sa_bench::sweep::run_unit(unit, policy).expect("unit runs")
     };
@@ -401,28 +383,6 @@ fn sweep_unit_kill_resume_matches_uninterrupted() {
             unit.id()
         );
     }
-    // serial and sharded cells of the same seed agree (engine invariance
-    // carries through the checkpoint machinery too)
-    let result = |u: &SweepUnit| match complete(u, &CheckpointPolicy::default()) {
-        UnitOutcome::Complete(r) => r,
-        UnitOutcome::Interrupted(_) => unreachable!(),
-    };
-    let serial: Vec<&SweepUnit> = units
-        .iter()
-        .filter(|u| u.engine.label() == "serial")
-        .collect();
-    let sharded: Vec<&SweepUnit> = units
-        .iter()
-        .filter(|u| u.engine.label() == "sharded-2")
-        .collect();
-    for (a, b) in serial.iter().zip(&sharded) {
-        assert_eq!(
-            (a.scheduler.label(), a.seed),
-            (b.scheduler.label(), b.seed),
-            "pairing assumption"
-        );
-        assert_eq!(result(a), result(b), "engines disagree for {}", a.id());
-    }
     // sanity: the declarative scheduler vocabulary covers what we swept
     assert_eq!(SchedulerSpec::RoundRobin.label(), "round-robin");
 }
@@ -444,7 +404,6 @@ fn sweep_unit_kill_resume_through_binary_codec_matches_json() {
             "kind": "stabilization",
             "topologies": [{"kind": "torus", "rows": 3, "cols": 3}],
             "schedulers": ["round-robin"],
-            "engines": ["serial", {"kind": "sharded", "threads": 2}],
             "fault": {"kind": "periodic", "period": 4, "count": 1},
             "seeds": 1,
             "max_rounds": 5000
@@ -453,7 +412,7 @@ fn sweep_unit_kill_resume_through_binary_codec_matches_json() {
     )
     .expect("spec parses");
     let units = spec.execution_units();
-    assert_eq!(units.len(), 2);
+    assert_eq!(units.len(), 1);
     let complete = |unit: &SweepUnit, policy: &CheckpointPolicy<'_>| {
         sa_bench::sweep::run_unit(unit, policy).expect("unit runs")
     };
@@ -572,8 +531,7 @@ fn binary_checkpoints_are_an_order_of_magnitude_smaller() {
 /// the `algorithm` axis — the min-plus-one baseline and the LE/MIS
 /// algorithms lifted through the synchronizer — and for a fault-recovery
 /// scenario unit whose kills land inside the recovery phase too (the burst
-/// bookkeeping is part of the checkpoint document). Serial and sharded
-/// engines are both exercised; paired cells must agree bit-for-bit.
+/// bookkeeping is part of the checkpoint document).
 #[test]
 fn multi_algorithm_and_scenario_units_kill_resume_match_uninterrupted() {
     let spec = SweepSpec::parse(
@@ -586,7 +544,6 @@ fn multi_algorithm_and_scenario_units_kill_resume_match_uninterrupted() {
               "algorithms": ["min-plus-one", "le", "mis"],
               "topologies": [{"kind": "cycle", "n": 5}],
               "schedulers": [{"kind": "uniform-random", "p": 0.5}],
-              "engines": ["serial", {"kind": "sharded", "threads": 2}],
               "seeds": 1,
               "max_rounds": 100000
             },
@@ -597,7 +554,6 @@ fn multi_algorithm_and_scenario_units_kill_resume_match_uninterrupted() {
               "harshness": "severe",
               "bursts": 2,
               "schedulers": ["round-robin"],
-              "engines": ["serial", {"kind": "sharded", "threads": 2}],
               "seeds": 1,
               "max_rounds": 100000
             }
@@ -606,11 +562,10 @@ fn multi_algorithm_and_scenario_units_kill_resume_match_uninterrupted() {
     )
     .expect("spec parses");
     let units = spec.execution_units();
-    assert_eq!(units.len(), 8);
+    assert_eq!(units.len(), 4);
     let complete = |unit: &SweepUnit, policy: &CheckpointPolicy<'_>| {
         sa_bench::sweep::run_unit(unit, policy).expect("unit runs")
     };
-    let mut results = Vec::new();
     for unit in &units {
         let reference: UnitResult = match complete(unit, &CheckpointPolicy::default()) {
             UnitOutcome::Complete(r) => r,
@@ -652,18 +607,5 @@ fn multi_algorithm_and_scenario_units_kill_resume_match_uninterrupted() {
             "unit {} diverged after resume",
             unit.id()
         );
-        results.push((unit.id(), reference));
-    }
-    // Engine invariance: each serial cell's result equals its sharded twin.
-    for (serial_id, serial_result) in &results {
-        if !serial_id.contains("--serial--") {
-            continue;
-        }
-        let twin_id = serial_id.replace("--serial--", "--sharded-2--");
-        let (_, twin) = results
-            .iter()
-            .find(|(id, _)| *id == twin_id)
-            .expect("sharded twin exists");
-        assert_eq!(serial_result, twin, "engines disagree for {serial_id}");
     }
 }

@@ -7,29 +7,6 @@
 use rand::RngCore;
 use stone_age_unison::model::prelude::*;
 
-/// Deterministic mod-6 cycler: every node changes state every step, so a
-/// large graph's synchronous changed set exceeds the sharded-apply threshold
-/// while a heterogeneous start keeps the `(old, new)` pairs diverse — no
-/// uniform or partial-batch shortcut, the general apply path runs.
-pub struct Cycler;
-
-impl Algorithm for Cycler {
-    type State = u8;
-    type Output = u8;
-    fn output(&self, s: &u8) -> Option<u8> {
-        Some(*s)
-    }
-    fn transition(&self, s: &u8, _: &Signal<u8>, _: &mut dyn RngCore) -> u8 {
-        (s + 1) % 6
-    }
-    fn dense_state_space(&self) -> Option<Vec<u8>> {
-        Some((0..6).collect())
-    }
-    fn transition_is_deterministic(&self) -> bool {
-        true
-    }
-}
-
 /// Moves state 0 to 1 and holds everything else: exactly the nodes in state
 /// 0 change, which is the partial-batch apply shape ("every node in `old`
 /// moves to `new`, nobody else changes").

@@ -1,32 +1,23 @@
-//! Serial ≡ sharded engine equivalence, and activation-order invariance.
+//! Step-pipeline equivalences and activation-order invariance.
 //!
-//! The sharded step engine partitions each step's activation set across a
-//! worker pool; because transitions read only the step's start snapshot and
-//! draw coins from counter-based streams keyed by `(seed, node, time)`, the
-//! shard count must be **observationally irrelevant**. These tests pin that
-//! guarantee by running serial and sharded executions in lockstep — across
-//! all six schedulers, both signal modes, under periodic fault injection,
-//! for a deterministic (AlgAU) and a randomized algorithm — and comparing
-//! step outcomes, configurations, changed-node lists, per-node metrics and
-//! round accounting at every step. Identical configurations of the
-//! *randomized* algorithm are simultaneously a check that the per-node RNG
-//! streams agree draw for draw.
+//! The executor has several observationally equivalent ways to run a step:
+//! mask-compiled vs closure transitions, and active-set (dirty-frontier)
+//! vs full-scan evaluation. These tests run each pair in lockstep — across
+//! all six schedulers, both signal modes and periodic fault injection,
+//! through mid-run degrades to the sparse fallback and snapshot/restore —
+//! and compare step outcomes, configurations, changed-node lists, per-node
+//! metrics and round accounting at every step. They also pin the frontier's
+//! drain/reopen behavior and that randomized algorithms never get one.
 //!
 //! The file also carries the regression test for the PR 1 order-dependence:
-//! scripted out-of-order schedules now replay identically to ascending-id
-//! schedules.
+//! scripted out-of-order schedules replay identically to ascending-id
+//! schedules, because coins come from streams keyed by `(seed, node, time)`.
 
 use rand::RngCore;
 
-mod common;
-use common::Cycler;
 use stone_age_unison::model::algorithm::{Algorithm, StateSpace};
 use stone_age_unison::model::prelude::*;
-use stone_age_unison::model::EngineKind;
 use stone_age_unison::unison::AlgAu;
-
-/// Worker counts the sharded engine is exercised at.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A randomized toy: adopt a uniformly random sensed state, or flip to a
 /// fresh coin value — consumes a *variable* number of RNG draws per
@@ -87,218 +78,6 @@ fn scheduler_factories(n: usize) -> Vec<(&'static str, SchedulerFactory)> {
             }),
         ),
     ]
-}
-
-/// Steps a serial and a sharded execution of the same algorithm in lockstep
-/// (with periodic fault injection when a palette is given) and asserts they
-/// stay bit-for-bit identical in every observable.
-#[allow(clippy::too_many_arguments)]
-fn assert_lockstep_equivalence<A: Algorithm>(
-    alg: &A,
-    graph: &Graph,
-    init: Vec<A::State>,
-    seed: u64,
-    mode: SignalMode,
-    workers: usize,
-    make_sched: &dyn Fn() -> Box<dyn Scheduler>,
-    fault_palette: Option<&[A::State]>,
-    steps: usize,
-    context: &str,
-) {
-    let mut serial = ExecutionBuilder::new(alg, graph)
-        .seed(seed)
-        .signal_mode(mode)
-        .engine(EngineKind::Serial)
-        .initial(init.clone());
-    let mut sharded = ExecutionBuilder::new(alg, graph)
-        .seed(seed)
-        .signal_mode(mode)
-        .engine(EngineKind::Sharded { threads: workers })
-        .initial(init);
-    let mut sched_a = make_sched();
-    let mut sched_b = make_sched();
-    let mut injector_a = fault_palette.map(|p| {
-        FaultInjector::new(
-            FaultPlan::Periodic {
-                period: 2,
-                count: 2,
-            },
-            p.to_vec(),
-            seed,
-        )
-    });
-    let mut injector_b = fault_palette.map(|p| {
-        FaultInjector::new(
-            FaultPlan::Periodic {
-                period: 2,
-                count: 2,
-            },
-            p.to_vec(),
-            seed,
-        )
-    });
-    for step in 0..steps {
-        let a = serial.step_with(&mut *sched_a);
-        let b = sharded.step_with(&mut *sched_b);
-        assert_eq!(a, b, "[{context}] step {step}: outcome diverged");
-        assert_eq!(
-            serial.configuration(),
-            sharded.configuration(),
-            "[{context}] step {step}: configuration diverged"
-        );
-        assert_eq!(
-            serial.last_changed(),
-            sharded.last_changed(),
-            "[{context}] step {step}: changed-node list diverged"
-        );
-        if a.round_completed {
-            if let (Some(ia), Some(ib)) = (injector_a.as_mut(), injector_b.as_mut()) {
-                let va = ia.on_round(&mut serial);
-                let vb = ib.on_round(&mut sharded);
-                assert_eq!(va, vb, "[{context}] step {step}: fault victims diverged");
-            }
-        }
-    }
-    assert_eq!(serial.time(), sharded.time(), "[{context}] time diverged");
-    assert_eq!(
-        serial.rounds(),
-        sharded.rounds(),
-        "[{context}] rounds diverged"
-    );
-    assert_eq!(
-        serial.counters(),
-        sharded.counters(),
-        "[{context}] per-node metrics diverged"
-    );
-    assert!(
-        sharded.validate_incremental_sensing(),
-        "[{context}] sharded sensing state inconsistent"
-    );
-}
-
-/// The full matrix for the paper's deterministic unison algorithm: six
-/// schedulers × dense/sparse × 1/2/4/8 workers, with fault injection.
-#[test]
-fn algau_sharded_matches_serial_across_schedulers_modes_workers_and_faults() {
-    let graph = Topology::Grid { rows: 3, cols: 4 }.build_deterministic();
-    let n = graph.node_count();
-    let d = graph.diameter();
-    let alg = AlgAu::new(d);
-    let palette = alg.states();
-    let init: Vec<_> = (0..n).map(|v| palette[v * 7 % palette.len()]).collect();
-    for (sched_name, factory) in scheduler_factories(n) {
-        for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
-            for workers in WORKER_COUNTS {
-                let context = format!("algau/{sched_name}/{mode_name}/workers={workers}");
-                assert_lockstep_equivalence(
-                    &alg,
-                    &graph,
-                    init.clone(),
-                    0xa1_900 + workers as u64,
-                    mode,
-                    workers,
-                    factory.as_ref(),
-                    Some(&palette),
-                    40,
-                    &context,
-                );
-            }
-        }
-    }
-}
-
-/// The same matrix for a randomized algorithm: identical trajectories here
-/// additionally prove the per-node coin streams agree draw for draw
-/// (transition coins are the only nondeterminism in the step).
-#[test]
-fn randomized_sharded_matches_serial_across_schedulers_modes_workers_and_faults() {
-    let graph = Topology::Cycle { n: 11 }.build_deterministic();
-    let n = graph.node_count();
-    let init: Vec<u8> = (0..n as u8).map(|v| v % 6).collect();
-    let palette: Vec<u8> = (0..6).collect();
-    for (sched_name, factory) in scheduler_factories(n) {
-        for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
-            for workers in WORKER_COUNTS {
-                let context = format!("noisy/{sched_name}/{mode_name}/workers={workers}");
-                assert_lockstep_equivalence(
-                    &NoisyAdopt,
-                    &graph,
-                    init.clone(),
-                    0x5eed + workers as u64,
-                    mode,
-                    workers,
-                    factory.as_ref(),
-                    Some(&palette),
-                    40,
-                    &context,
-                );
-            }
-        }
-    }
-}
-
-/// A corruption outside the enumerated state space degrades the dense sense
-/// stage mid-run; the sharded engine must follow the serial engine through
-/// the degrade and onward on the sparse fallback.
-#[test]
-fn sharded_follows_serial_through_mid_run_degrade_to_sparse() {
-    let graph = Graph::grid(3, 3);
-    let init = vec![0u8; 9];
-    for workers in WORKER_COUNTS {
-        let mut serial = ExecutionBuilder::new(&NoisyAdopt, &graph)
-            .seed(3)
-            .engine(EngineKind::Serial)
-            .initial(init.clone());
-        let mut sharded = ExecutionBuilder::new(&NoisyAdopt, &graph)
-            .seed(3)
-            .engine(EngineKind::Sharded { threads: workers })
-            .initial(init.clone());
-        let mut sched_a = SynchronousScheduler;
-        let mut sched_b = SynchronousScheduler;
-        for step in 0..30 {
-            if step == 9 {
-                serial.corrupt(4, 77); // outside NoisyAdopt's {0..6} space
-                sharded.corrupt(4, 77);
-                assert!(!serial.uses_dense_signals());
-                assert!(!sharded.uses_dense_signals());
-            }
-            serial.step_with(&mut sched_a);
-            sharded.step_with(&mut sched_b);
-            assert_eq!(
-                serial.configuration(),
-                sharded.configuration(),
-                "workers={workers} step {step}"
-            );
-        }
-        assert_eq!(serial.counters(), sharded.counters());
-    }
-}
-
-/// Large-activation-set equivalence: a 256-node expander under the
-/// synchronous scheduler gives every worker a real multi-node chunk.
-#[test]
-fn sharded_matches_serial_on_a_large_expander() {
-    let graph = Topology::RandomRegular { n: 256, deg: 4 }.build(13);
-    let d = graph.diameter();
-    let alg = AlgAu::new(d);
-    let palette = alg.states();
-    let init: Vec<_> = (0..graph.node_count())
-        .map(|v| palette[(v * 31 + 5) % palette.len()])
-        .collect();
-    for workers in [4usize, 8] {
-        assert_lockstep_equivalence(
-            &alg,
-            &graph,
-            init.clone(),
-            99,
-            SignalMode::Auto,
-            workers,
-            &|| Box::new(SynchronousScheduler),
-            None,
-            25,
-            &format!("expander/workers={workers}"),
-        );
-    }
 }
 
 // ---- mask-compiled vs closure transition path ------------------------------
@@ -442,90 +221,38 @@ impl Algorithm for SensesOne {
 
 /// A mid-run corruption with a state outside the enumerated space degrades
 /// the dense sensing; the mask-compiled path must follow the closure path
-/// through the degrade and keep matching on the sparse fallback, where
-/// lanes that meet the exotic state fall back per node.
+/// through the degrade and keep matching on the sparse fallback, where the
+/// lane falls back per node once it meets the exotic state.
 #[test]
 fn masked_path_follows_closure_through_degrade() {
     let graph = Graph::grid(3, 3);
     let init: Vec<u8> = (0..9u8).map(|v| v % 6).collect();
-    for workers in [1usize, 4] {
-        let mut masked = ExecutionBuilder::new(&SensesOne, &graph)
-            .seed(5)
-            .engine(EngineKind::Sharded { threads: workers })
-            .masked_transitions(true)
-            .initial(init.clone());
-        let mut closure = ExecutionBuilder::new(&SensesOne, &graph)
-            .seed(5)
-            .engine(EngineKind::Serial)
-            .masked_transitions(false)
-            .initial(init.clone());
-        assert!(masked.uses_masked_transitions());
-        let mut sched_a = SynchronousScheduler;
-        let mut sched_b = SynchronousScheduler;
-        for step in 0..30 {
-            if step == 7 {
-                masked.corrupt(4, 77); // outside {0..6}
-                closure.corrupt(4, 77);
-                assert!(!masked.uses_dense_signals());
-            }
-            masked.step_with(&mut sched_a);
-            closure.step_with(&mut sched_b);
-            assert_eq!(
-                masked.configuration(),
-                closure.configuration(),
-                "workers={workers} step {step}"
-            );
+    let mut masked = ExecutionBuilder::new(&SensesOne, &graph)
+        .seed(5)
+        .masked_transitions(true)
+        .initial(init.clone());
+    let mut closure = ExecutionBuilder::new(&SensesOne, &graph)
+        .seed(5)
+        .masked_transitions(false)
+        .initial(init);
+    assert!(masked.uses_masked_transitions());
+    let mut sched_a = SynchronousScheduler;
+    let mut sched_b = SynchronousScheduler;
+    for step in 0..30 {
+        if step == 7 {
+            masked.corrupt(4, 77); // outside {0..6}
+            closure.corrupt(4, 77);
+            assert!(!masked.uses_dense_signals());
         }
-        assert_eq!(masked.counters(), closure.counters());
-    }
-}
-
-// ---- sharded apply stage ---------------------------------------------------
-
-/// Sharded-apply ≡ serial-apply: on a graph whose synchronous changed sets
-/// exceed `SHARDED_APPLY_MIN_CHANGED`, the sharded engine commits the apply
-/// stage across its pool by node range; configurations, sensing state and
-/// metrics must stay bit-identical to the fully serial engine.
-#[test]
-fn sharded_apply_matches_serial_on_large_changed_sets() {
-    use stone_age_unison::model::engine::SHARDED_APPLY_MIN_CHANGED;
-    let graph = Topology::RandomRegular { n: 2048, deg: 5 }.build(17);
-    let n = graph.node_count();
-    assert!(
-        n >= SHARDED_APPLY_MIN_CHANGED * 2,
-        "must exceed the threshold"
-    );
-    let init: Vec<u8> = (0..n).map(|v| ((v * 13 + 4) % 6) as u8).collect();
-    for workers in [2usize, 4, 8] {
-        assert_lockstep_equivalence(
-            &Cycler,
-            &graph,
-            init.clone(),
-            0xbead + workers as u64,
-            SignalMode::Auto,
-            workers,
-            &|| Box::new(SynchronousScheduler),
-            None,
-            6,
-            &format!("sharded-apply/workers={workers}"),
+        masked.step_with(&mut sched_a);
+        closure.step_with(&mut sched_b);
+        assert_eq!(
+            masked.configuration(),
+            closure.configuration(),
+            "step {step}"
         );
     }
-    // A randomized algorithm over the same graph: partial change sets above
-    // and below the threshold, plus fault injection.
-    let init: Vec<u8> = (0..n).map(|v| (v % 6) as u8).collect();
-    let palette: Vec<u8> = (0..6).collect();
-    assert_lockstep_equivalence(
-        &NoisyAdopt,
-        &graph,
-        init,
-        0xfeed,
-        SignalMode::Auto,
-        4,
-        &|| Box::new(UniformRandomScheduler::new(0.9)),
-        Some(&palette),
-        6,
-        "sharded-apply/noisy",
-    );
+    assert_eq!(masked.counters(), closure.counters());
 }
 
 // ---- active-set (dirty-frontier) execution ---------------------------------
@@ -542,7 +269,6 @@ fn assert_active_set_matches_full_scan<A: Algorithm>(
     init: Vec<A::State>,
     seed: u64,
     mode: SignalMode,
-    kind: EngineKind,
     make_sched: &dyn Fn() -> Box<dyn Scheduler>,
     fault_palette: Option<&[A::State]>,
     steps: usize,
@@ -551,13 +277,11 @@ fn assert_active_set_matches_full_scan<A: Algorithm>(
     let mut fast = ExecutionBuilder::new(alg, graph)
         .seed(seed)
         .signal_mode(mode)
-        .engine(kind)
         .active_set(true)
         .initial(init.clone());
     let mut full = ExecutionBuilder::new(alg, graph)
         .seed(seed)
         .signal_mode(mode)
-        .engine(kind)
         .active_set(false)
         .initial(init);
     assert!(
@@ -629,9 +353,8 @@ fn assert_active_set_matches_full_scan<A: Algorithm>(
 }
 
 /// The full differential matrix for the paper's deterministic unison
-/// algorithm: active-set ≡ full-scan across six schedulers × dense/sparse ×
-/// serial/sharded, under periodic fault injection and a mid-run
-/// snapshot/restore.
+/// algorithm: active-set ≡ full-scan across six schedulers × dense/sparse,
+/// under periodic fault injection and a mid-run snapshot/restore.
 #[test]
 fn active_set_matches_full_scan_across_schedulers_modes_and_engines() {
     let graph = Topology::Grid { rows: 3, cols: 4 }.build_deterministic();
@@ -643,24 +366,17 @@ fn active_set_matches_full_scan_across_schedulers_modes_and_engines() {
         .collect();
     for (sched_name, factory) in scheduler_factories(n) {
         for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
-            for (engine_name, kind) in [
-                ("serial", EngineKind::Serial),
-                ("sharded-4", EngineKind::Sharded { threads: 4 }),
-            ] {
-                let context = format!("active-set/{sched_name}/{mode_name}/{engine_name}");
-                assert_active_set_matches_full_scan(
-                    &alg,
-                    &graph,
-                    init.clone(),
-                    0xd1_47_00,
-                    mode,
-                    kind,
-                    factory.as_ref(),
-                    Some(&palette),
-                    40,
-                    &context,
-                );
-            }
+            assert_active_set_matches_full_scan(
+                &alg,
+                &graph,
+                init.clone(),
+                0xd1_47_00,
+                mode,
+                factory.as_ref(),
+                Some(&palette),
+                40,
+                &format!("active-set/{sched_name}/{mode_name}"),
+            );
         }
     }
 }

@@ -9,7 +9,7 @@
 //! wrappers that hide the decomposition (inheriting the default
 //! `as_local() = None` / `snapshot_as_local() = None`), forcing the legacy
 //! full-scan path, and comparing runs across all six scheduler families,
-//! dense and sparse graphs, both step engines and fault injection. The CI
+//! dense and sparse graphs and fault injection. The CI
 //! `SA_FORCE_FULL_ORACLE=1` legs re-check the same equivalence end-to-end
 //! through the environment escape hatch.
 //!
@@ -23,7 +23,6 @@ use stone_age_unison::model::checker::{
 };
 use stone_age_unison::model::executor::StabilizationOutcome;
 use stone_age_unison::model::prelude::*;
-use stone_age_unison::model::EngineKind;
 use stone_age_unison::unison::baseline::min_plus_one::min_plus_one_legitimate;
 use stone_age_unison::unison::baseline::{MinPlusOne, MinPlusOneChecker, MinPlusOneOracle};
 use stone_age_unison::unison::{AlgAu, AuChecker, GoodGraphOracle};
@@ -94,8 +93,7 @@ fn scheduler_factories(n: usize) -> Vec<(&'static str, SchedulerFactory)> {
 
 /// `run_until_legitimate` with AlgAU's `GoodGraphOracle` (incremental) agrees
 /// with the hidden-decomposition wrapper (full scan) on outcome and final
-/// configuration — across all six schedulers, a dense and a sparse graph,
-/// and both step engines.
+/// configuration — across all six schedulers and a dense and a sparse graph.
 #[test]
 fn algau_round_checks_match_full_scan() {
     let graphs = [("dense", Graph::complete(8)), ("sparse", Graph::cycle(12))];
@@ -110,28 +108,24 @@ fn algau_round_checks_match_full_scan() {
         );
         let full = FullScanOracle(GoodGraphOracle::new(alg));
         for (slabel, factory) in scheduler_factories(n) {
-            for engine in [EngineKind::Serial, EngineKind::Sharded { threads: 2 }] {
-                for seed in 0..2u64 {
-                    let context = format!("{glabel}/{slabel}/{engine:?}/seed {seed}");
-                    let mut inc = ExecutionBuilder::new(&alg, graph)
-                        .seed(seed)
-                        .engine(engine)
-                        .random_initial(&palette);
-                    let mut scan = ExecutionBuilder::new(&alg, graph)
-                        .seed(seed)
-                        .engine(engine)
-                        .random_initial(&palette);
-                    let mut sched_a = factory();
-                    let mut sched_b = factory();
-                    let a = inc.run_until_legitimate(&mut *sched_a, &oracle, 3000);
-                    let b = scan.run_until_legitimate(&mut *sched_b, &full, 3000);
-                    assert_eq!(a, b, "[{context}] outcomes diverged");
-                    assert_eq!(
-                        inc.configuration(),
-                        scan.configuration(),
-                        "[{context}] final configurations diverged"
-                    );
-                }
+            for seed in 0..2u64 {
+                let context = format!("{glabel}/{slabel}/seed {seed}");
+                let mut inc = ExecutionBuilder::new(&alg, graph)
+                    .seed(seed)
+                    .random_initial(&palette);
+                let mut scan = ExecutionBuilder::new(&alg, graph)
+                    .seed(seed)
+                    .random_initial(&palette);
+                let mut sched_a = factory();
+                let mut sched_b = factory();
+                let a = inc.run_until_legitimate(&mut *sched_a, &oracle, 3000);
+                let b = scan.run_until_legitimate(&mut *sched_b, &full, 3000);
+                assert_eq!(a, b, "[{context}] outcomes diverged");
+                assert_eq!(
+                    inc.configuration(),
+                    scan.configuration(),
+                    "[{context}] final configurations diverged"
+                );
             }
         }
         // Sanity: the comparison is not vacuous — the synchronous run stabilizes.
@@ -494,8 +488,7 @@ fn colony_decomposition_matches_global_predicate() {
 /// keep striking *inside* the verification window records violations, and a
 /// kill/resume cycle through JSON checkpoints — which forces the incremental
 /// tracker to reseed its bad-set from the restored configuration — finishes
-/// bit-identical to the uninterrupted run. Covers all four algorithm axes
-/// and both engines.
+/// bit-identical to the uninterrupted run. Covers all four algorithm axes.
 #[test]
 fn sweep_windows_with_midwindow_faults_survive_kill_resume() {
     use sa_bench::sweep::{CheckpointPolicy, SweepSpec, UnitOutcome, UnitResult};
@@ -510,7 +503,6 @@ fn sweep_windows_with_midwindow_faults_survive_kill_resume() {
             "topologies": [{"kind": "torus", "rows": 3, "cols": 3}],
             "algorithms": ["algau", "min-plus-one", "le", "mis"],
             "schedulers": ["round-robin"],
-            "engines": ["serial", {"kind": "sharded", "threads": 2}],
             "fault": {"kind": "periodic", "period": 6, "count": 2},
             "seeds": 1,
             "max_rounds": 4000,
@@ -520,7 +512,7 @@ fn sweep_windows_with_midwindow_faults_survive_kill_resume() {
     )
     .expect("spec parses");
     let units = spec.execution_units();
-    assert_eq!(units.len(), 8);
+    assert_eq!(units.len(), 4);
     let mut any_violations = false;
     for unit in &units {
         let reference: UnitResult =
