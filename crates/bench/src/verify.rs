@@ -60,6 +60,10 @@ use unison_core::baseline::min_plus_one::min_plus_one_legitimate;
 use unison_core::baseline::{reset_attempt_legitimate, MinPlusOne, ResetAttempt, ResetTurn};
 use unison_core::{AlgAu, Predicates, Turn};
 
+/// How many expanded configurations pass between two progress reports of
+/// [`VerifyUnit::run`].
+pub const PROGRESS_STRIDE: usize = 100_000;
+
 /// `SA_VERIFY_MAX_STATES`: default state budget for verify units whose
 /// spec omits `max_states` (invalid values are ignored). Read once.
 fn env_max_states() -> Option<usize> {
@@ -372,7 +376,7 @@ impl VerifyUnit {
     /// Runs the unit: builds the graph, seeds the space, explores, and
     /// packages the result (palette rendered to display labels so reports
     /// are algorithm-agnostic). `progress` is invoked every
-    /// `progress_stride` expansions.
+    /// [`PROGRESS_STRIDE`] expanded configurations.
     pub fn run(
         &self,
         progress: &mut dyn FnMut(ExploreProgress),
@@ -382,7 +386,7 @@ impl VerifyUnit {
         let config = ExploreConfig {
             max_states: self.effective_max_states(),
             coin_tapes: self.coin_tapes.unwrap_or(DEFAULT_COIN_TAPES),
-            ..ExploreConfig::default()
+            progress_stride: PROGRESS_STRIDE,
         };
         let n = graph.node_count();
         match self.algorithm {
@@ -524,7 +528,8 @@ impl VerifyUnit {
         }
     }
 
-    /// Builds the seed configurations for the unit's [`SpaceMode`].
+    /// The seed configurations for the unit's [`SpaceMode`]. Full mode
+    /// streams the `|Q|^n` product lazily rather than materializing it.
     ///
     /// Full mode refuses instances whose product space `|Q|^n` already
     /// exceeds the state budget (the exploration would only rediscover
@@ -533,13 +538,13 @@ impl VerifyUnit {
     /// *fault* palette (representative corruptions), not the full product
     /// state set, so a "full" product over it would be neither full nor
     /// meaningful.
-    fn seed_configs<S: Clone>(
+    fn seed_configs<'p, S: Clone>(
         &self,
         n: usize,
-        palette: &[S],
+        palette: &'p [S],
         benign: &[S],
         budget: usize,
-    ) -> Result<Vec<Vec<S>>, SpecError> {
+    ) -> Result<Box<dyn Iterator<Item = Vec<S>> + 'p>, SpecError> {
         match self.space {
             SpaceMode::Full => {
                 if matches!(
@@ -572,20 +577,26 @@ impl VerifyUnit {
                         budget
                     ));
                 }
-                let mut seeds: Vec<Vec<S>> = vec![Vec::with_capacity(n)];
-                for _ in 0..n {
-                    seeds = seeds
-                        .into_iter()
-                        .flat_map(|c| {
-                            palette.iter().map(move |s| {
-                                let mut c = c.clone();
-                                c.push(s.clone());
-                                c
-                            })
-                        })
-                        .collect();
-                }
-                Ok(seeds)
+                // Streamed in lexicographic order (node 0 most significant):
+                // an odometer over palette positions, last node fastest.
+                let mut next = (n == 0 || !palette.is_empty()).then(|| vec![0usize; n]);
+                Ok(Box::new(std::iter::from_fn(move || {
+                    let mut digits = next.take()?;
+                    let seed = digits.iter().map(|&d| palette[d].clone()).collect();
+                    let mut pos = n;
+                    next = loop {
+                        if pos == 0 {
+                            break None;
+                        }
+                        pos -= 1;
+                        digits[pos] += 1;
+                        if digits[pos] < palette.len() {
+                            break Some(digits);
+                        }
+                        digits[pos] = 0;
+                    };
+                    Some(seed)
+                })))
             }
             SpaceMode::Reachable { fault_radius } => {
                 let mut seeds = vec![benign.to_vec()];
@@ -608,7 +619,7 @@ impl VerifyUnit {
                         }
                     }
                 }
-                Ok(seeds)
+                Ok(Box::new(seeds.into_iter()))
             }
         }
     }
@@ -621,22 +632,15 @@ impl VerifyUnit {
         alg: &A,
         graph: &Graph,
         diameter_bound: usize,
-        seeds: Vec<Vec<A::State>>,
+        mut seeds: Box<dyn Iterator<Item = Vec<A::State>> + '_>,
         oracle: &dyn Fn(&Graph, &[A::State]) -> bool,
         normalize: Option<NormalizeFn<'_, A::State>>,
         config: &ExploreConfig,
         progress: &mut dyn FnMut(ExploreProgress),
     ) -> Result<VerifyUnitReport, SpecError> {
-        let report: ExploreReport<A::State> = explore(
-            alg,
-            graph,
-            &mut seeds.into_iter(),
-            oracle,
-            normalize,
-            config,
-            progress,
-        )
-        .map_err(|e| format!("unit {}: {e}", self.id()))?;
+        let report: ExploreReport<A::State> =
+            explore(alg, graph, &mut *seeds, oracle, normalize, config, progress)
+                .map_err(|e| format!("unit {}: {e}", self.id()))?;
         let (closure_certified, closure_trace) = split(report.closure);
         let (convergence_certified, convergence_trace) = split(report.convergence);
         Ok(VerifyUnitReport {

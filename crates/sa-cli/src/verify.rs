@@ -12,9 +12,12 @@
 //!
 //! under the output directory (default `verify/<spec-name>/`). The exit
 //! code reflects the verdict: success only when every unit certifies both
-//! closure and convergence. Progress goes to stderr; the state budget is
-//! the spec's `max_states`, else `SA_VERIFY_MAX_STATES`, else the
-//! built-in default (see `docs/verify.md`).
+//! closure and convergence. Progress goes to stderr: a states / expanded /
+//! edges / states-per-second line every
+//! [`PROGRESS_STRIDE`](sa_bench::verify::PROGRESS_STRIDE) expanded
+//! configurations. The state budget is the spec's `max_states`, else
+//! `SA_VERIFY_MAX_STATES`, else the built-in default (see
+//! `docs/verify.md`).
 
 use crate::runner::load_spec;
 use sa_bench::jobs::write_atomic;
@@ -24,6 +27,7 @@ use sa_bench::verify::{
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 pub fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut spec_path: Option<PathBuf> = None;
@@ -59,9 +63,11 @@ pub fn verify(args: &[String]) -> Result<ExitCode, String> {
             "sa verify: {unit_id}: exploring (budget {} states)",
             unit.effective_max_states()
         );
+        let started = Instant::now();
         let report = unit.run(&mut |p| {
+            let rate = p.states as f64 / started.elapsed().as_secs_f64().max(1e-9);
             eprintln!(
-                "sa verify: {unit_id}: {} states, {} expanded, {} edges",
+                "sa verify: {unit_id}: {} states, {} expanded, {} edges, {rate:.0} states/s",
                 p.states, p.expanded, p.edges
             );
         })?;

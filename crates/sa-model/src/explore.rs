@@ -18,11 +18,22 @@
 //!
 //! Local states are interned into a dynamically grown *palette* (a
 //! `state → u16` index, the same palette-index idea the binary checkpoint
-//! codec uses); a global configuration is a `[u16; n]` vector of palette
-//! indices, stored once in an id-indexed arena and once as the key of the
-//! visited-set hash map. Budgeting is therefore simple: memory is
-//! `O(max_states · n)` with a small constant (~2 boxed index vectors plus
-//! parent metadata per configuration).
+//! codec uses); a global configuration is `n` palette indices. All
+//! configurations sit back to back in one flat `u16` arena (stride `n`), and
+//! the visited set is an open-addressing table of `u32` configuration ids
+//! that hashes and compares arena slices in place, so interning allocates
+//! nothing per configuration and stores each key once. Budgeting is
+//! therefore simple: memory is `O(max_states · n)`, at most `2n + 31`
+//! bytes per configuration while exploring (see `docs/verify.md`).
+//!
+//! Transitions are memoized in the same index space. A node's targets depend
+//! only on its own state and its signal (the *set* of states in its closed
+//! neighbourhood) — and, for randomized algorithms, on the coin tapes, whose
+//! seeds are fixed. The key "sorted distinct neighbourhood indices, then own
+//! index" therefore determines the node's distinct non-identity targets
+//! exactly, and the memo stores them in tape order. [`Signal`] construction
+//! and [`Algorithm::transition`] run only on a memo miss; every successor is
+//! produced by patching one reused index buffer.
 //!
 //! # Activation reduction
 //!
@@ -64,10 +75,13 @@
 //! cover(K) = ⋃ {A : intra-K edge with activation A} ∪ {v : v disabled at some s ∈ K}
 //! ```
 //!
-//! equals the full node set. Singleton components have no real self-loops
-//! (an activated enabled node always changes the configuration), so their
-//! cover is full exactly when the configuration is *silent* (no node
-//! enabled) — a deadlock. Terminal components of the illegitimate subgraph
+//! equals the full node set. A singleton component without a self-loop has
+//! no intra-component edge, so its cover is full exactly when the
+//! configuration is *silent* (no node enabled) — a deadlock. Self-loops
+//! arise only under normalization (every activated node changes, but the
+//! normalized successor is the source again); such a singleton is a fair
+//! trap through its own loop and is reported as a one-configuration fair
+//! cycle, not a deadlock. Terminal components of the illegitimate subgraph
 //! always have full cover (every enabled node contributes its singleton
 //! activation edge), so this check subsumes backward reachability from `L`.
 //! The check runs with Tarjan's algorithm, iteratively, regenerating
@@ -80,6 +94,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Default configuration budget when neither the spec nor
 /// `SA_VERIFY_MAX_STATES` says otherwise.
@@ -101,10 +116,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// A configuration-normalization hook: quotients the explored space by a
 /// transition-equivariant, oracle-invariant symmetry (see [`explore`]).
 pub type NormalizeFn<'a, S> = &'a dyn Fn(&mut Vec<S>);
-
-/// The enabled nodes of a configuration with their distinct non-identity
-/// target states.
-pub type EnabledTargets<S> = Vec<(NodeId, Vec<S>)>;
 
 /// Knobs for an exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -388,20 +399,30 @@ pub fn explore<A: Algorithm>(
         max_states: config.max_states,
         n,
         full_mask: full_mask(n),
-        palette: Vec::new(),
-        palette_index: HashMap::new(),
-        configs: Vec::new(),
-        config_index: HashMap::new(),
+        hoods: (0..n).map(|v| graph.inclusive_neighbors(v)).collect(),
+        palette: Interner::default(),
+        raw_targets: Interner::default(),
+        memo: Memo::default(),
+        configs: ConfigTable::new(n),
         legit: Vec::new(),
+        silent: Vec::new(),
+        self_loop: Vec::new(),
         parent: Vec::new(),
         parent_act: Vec::new(),
         edges: 0,
+        buf: Vec::new(),
+        key: Vec::new(),
+        succs: Vec::new(),
+        hashes: Vec::new(),
+        enabled: Vec::new(),
+        digits: Vec::new(),
+        decoded: Vec::new(),
     };
 
     let mut seed_count = 0usize;
     for seed in seeds {
         debug_assert_eq!(seed.len(), n, "seed configuration has wrong length");
-        let (_, fresh) = space.intern(seed)?;
+        let (_, fresh) = space.intern_seed(seed)?;
         if fresh {
             seed_count += 1;
         }
@@ -411,25 +432,21 @@ pub fn explore<A: Algorithm>(
     // order *is* the FIFO order, so parent chains are shortest-path (in
     // steps) from some seed.
     let mut closure_violation: Option<(u32, u64, u32)> = None;
-    let mut expanded = 0usize;
+    let mut edges = Vec::new();
     let mut i = 0u32;
     while (i as usize) < space.configs.len() {
-        let cfg = space.decode(i);
-        let targets = space.enabled_targets(&cfg)?;
-        let src_legit = space.legit[i as usize];
-        space.for_each_successor(&cfg, &targets, |space, act, succ_cfg| {
-            space.edges += 1;
-            let (id, fresh) = space.intern(succ_cfg)?;
-            if fresh {
-                space.parent[id as usize] = i;
-                space.parent_act[id as usize] = act;
-            }
-            if src_legit && !space.legit[id as usize] && closure_violation.is_none() {
-                closure_violation = Some((i, act, id));
-            }
-            Ok(())
-        })?;
-        expanded += 1;
+        let enabled = space.expand(i, &mut edges)?;
+        space.edges += edges.len() as u64;
+        space.silent[i as usize] = enabled == 0;
+        space.self_loop[i as usize] = edges.iter().any(|&(_, sid)| sid == i);
+        if space.legit[i as usize] && closure_violation.is_none() {
+            closure_violation = edges
+                .iter()
+                .find(|&&(_, sid)| !space.legit[sid as usize])
+                .map(|&(act, sid)| (i, act, sid));
+        }
+        i += 1;
+        let expanded = i as usize;
         if config.progress_stride != 0 && expanded.is_multiple_of(config.progress_stride) {
             progress(ExploreProgress {
                 states: space.configs.len(),
@@ -437,7 +454,6 @@ pub fn explore<A: Algorithm>(
                 edges: space.edges,
             });
         }
-        i += 1;
     }
 
     let legitimate = space.legit.iter().filter(|&&l| l).count();
@@ -462,10 +478,10 @@ pub fn explore<A: Algorithm>(
             seeds: seed_count,
             edges: space.edges,
             legitimate,
-            palette: space.palette.len(),
+            palette: space.palette.states.len(),
             deterministic: space.deterministic,
         },
-        palette: space.palette,
+        palette: space.palette.states,
         closure,
         convergence,
         convergence_mode,
@@ -490,6 +506,263 @@ fn mask_nodes(mask: u64) -> Vec<NodeId> {
     out
 }
 
+/// Multiplicative (Fx-style) hash for the explorer's tables. Keys are
+/// palette indices and local states produced by the explorer itself, so a
+/// DoS-resistant hash buys nothing here.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl IndexHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
+
+/// Hash of a slice of palette indices, four per word, seeded with its
+/// length.
+fn hash_indices(xs: &[u16]) -> u64 {
+    let mut h = IndexHasher(xs.len() as u64);
+    for chunk in xs.chunks(4) {
+        let mut word = 0u64;
+        for (k, &x) in chunk.iter().enumerate() {
+            word |= u64::from(x) << (16 * k);
+        }
+        h.add(word);
+    }
+    h.0
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// A linear-probing array of `u32` ids, a power of two long and at most
+/// half full. The ids' keys live with the owner, which supplies hashes and
+/// key comparisons.
+struct Slots {
+    ids: Vec<u32>,
+    /// `64 - log2(ids.len())`: an id's home slot is the top bits of its hash.
+    shift: u32,
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        const INITIAL: usize = 1 << 10;
+        Slots {
+            ids: vec![EMPTY_SLOT; INITIAL],
+            shift: 64 - INITIAL.trailing_zeros(),
+        }
+    }
+}
+
+impl Slots {
+    fn home(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize
+    }
+
+    /// The first slot from `hash`'s home on that is empty or holds an id
+    /// whose key `is_key` accepts.
+    fn probe(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> usize {
+        let mask = self.ids.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            let id = self.ids[slot];
+            if id == EMPTY_SLOT || is_key(id) {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Makes room for id `len` (ids `0..len` are present), doubling and
+    /// rehashing them with `hash_of` when the array would pass half full.
+    fn reserve(&mut self, len: usize, hash_of: impl Fn(u32) -> u64) {
+        if 2 * (len + 1) <= self.ids.len() {
+            return;
+        }
+        self.ids = vec![EMPTY_SLOT; 2 * self.ids.len()];
+        self.shift -= 1;
+        for id in 0..len as u32 {
+            let slot = self.probe(hash_of(id), |_| false);
+            self.ids[slot] = id;
+        }
+    }
+}
+
+/// A `state ↔ u16` interning table, in first-seen order.
+struct Interner<S> {
+    states: Vec<S>,
+    index: IndexMap<S, u16>,
+}
+
+impl<S> Default for Interner<S> {
+    fn default() -> Self {
+        Interner {
+            states: Vec::new(),
+            index: IndexMap::default(),
+        }
+    }
+}
+
+impl<S: Clone + Eq + Hash> Interner<S> {
+    fn intern(&mut self, s: &S) -> Result<u16, ExploreError> {
+        if let Some(&i) = self.index.get(s) {
+            return Ok(i);
+        }
+        if self.states.len() > u16::MAX as usize {
+            return Err(ExploreError::PaletteOverflow);
+        }
+        let i = self.states.len() as u16;
+        self.states.push(s.clone());
+        self.index.insert(s.clone(), i);
+        Ok(i)
+    }
+}
+
+/// The visited set: configurations stored back to back in one flat arena
+/// (stride `n`), indexed by an open-addressing table of `u32` ids that
+/// hashes and compares the arena slices in place.
+struct ConfigTable {
+    n: usize,
+    len: usize,
+    arena: Vec<u16>,
+    slots: Slots,
+}
+
+impl ConfigTable {
+    fn new(n: usize) -> Self {
+        ConfigTable {
+            n,
+            len: 0,
+            arena: Vec::new(),
+            slots: Slots::default(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, id: u32) -> &[u16] {
+        let at = id as usize * self.n;
+        &self.arena[at..at + self.n]
+    }
+
+    /// The id of `cfg` (whose hash is `hash`), if present.
+    fn find(&self, cfg: &[u16], hash: u64) -> Option<u32> {
+        let id = self.slots.ids[self.slots.probe(hash, |id| self.get(id) == cfg)];
+        (id != EMPTY_SLOT).then_some(id)
+    }
+
+    /// Appends `cfg`, which must be absent, and returns its id.
+    fn push(&mut self, cfg: &[u16], hash: u64) -> u32 {
+        let (n, arena) = (self.n, &self.arena);
+        self.slots.reserve(self.len, |id| {
+            let at = id as usize * n;
+            hash_indices(&arena[at..at + n])
+        });
+        let slot = self.slots.probe(hash, |_| false);
+        let id = self.len as u32;
+        self.arena.extend_from_slice(cfg);
+        self.slots.ids[slot] = id;
+        self.len += 1;
+        id
+    }
+
+    /// Hashes the `count` configurations in `cfgs` (`n` indices each) into
+    /// `hashes`, loading each one's home slot and the arena entry it points
+    /// at on the way. The loads are independent of one another, so their
+    /// cache misses overlap instead of queueing behind each probe.
+    fn warm(&self, cfgs: &[u16], count: usize, hashes: &mut Vec<u64>) {
+        hashes.clear();
+        let mut sink = 0u16;
+        for k in 0..count {
+            let hash = hash_indices(&cfgs[k * self.n..(k + 1) * self.n]);
+            let id = self.slots.ids[self.slots.home(hash)];
+            if id != EMPTY_SLOT {
+                sink ^= self.arena[id as usize * self.n];
+            }
+            hashes.push(hash);
+        }
+        std::hint::black_box(sink);
+    }
+}
+
+/// The transition memo: maps a key (a node's sorted distinct signal
+/// indices followed by its own index) to the node's distinct non-identity
+/// targets, in tape order.
+#[derive(Default)]
+struct Memo {
+    /// Keys back to back.
+    keys: Vec<u16>,
+    /// Targets back to back.
+    targets: Vec<u16>,
+    /// Per entry: key start, key length, targets start, target count.
+    entries: Vec<[u32; 4]>,
+    slots: Slots,
+}
+
+impl Memo {
+    fn key(&self, id: u32) -> &[u16] {
+        let [start, len, _, _] = self.entries[id as usize];
+        &self.keys[start as usize..(start + len) as usize]
+    }
+
+    /// The `(start, count)` range of `key`'s targets in `targets`, if
+    /// memoized.
+    fn get(&self, key: &[u16]) -> Option<(u32, u32)> {
+        let slots = &self.slots;
+        let id = slots.ids[slots.probe(hash_indices(key), |id| self.key(id) == key)];
+        (id != EMPTY_SLOT).then(|| {
+            let [_, _, start, count] = self.entries[id as usize];
+            (start, count)
+        })
+    }
+
+    /// Memoizes `key`, which must be absent, with `targets`; returns their
+    /// range.
+    fn insert(&mut self, key: &[u16], targets: &[u16]) -> (u32, u32) {
+        let (keys, entries) = (&self.keys, &self.entries);
+        self.slots.reserve(entries.len(), |id| {
+            let [start, len, _, _] = entries[id as usize];
+            hash_indices(&keys[start as usize..(start + len) as usize])
+        });
+        let slot = self.slots.probe(hash_indices(key), |_| false);
+        self.slots.ids[slot] = self.entries.len() as u32;
+        let range = (self.targets.len() as u32, targets.len() as u32);
+        self.entries
+            .push([self.keys.len() as u32, key.len() as u32, range.0, range.1]);
+        self.keys.extend_from_slice(key);
+        self.targets.extend_from_slice(targets);
+        range
+    }
+}
+
+/// An enabled node of the configuration being expanded: its range of
+/// memoized targets and the index it holds when not activated.
+#[derive(Clone, Copy)]
+struct EnabledNode {
+    node: NodeId,
+    start: u32,
+    targets: u32,
+    idle: u16,
+}
+
 struct Space<'a, A: Algorithm> {
     alg: &'a A,
     graph: &'a Graph,
@@ -500,42 +773,72 @@ struct Space<'a, A: Algorithm> {
     max_states: usize,
     n: usize,
     full_mask: u64,
-    palette: Vec<A::State>,
-    palette_index: HashMap<A::State, u16>,
-    configs: Vec<Box<[u16]>>,
-    config_index: HashMap<Box<[u16]>, u32>,
+    /// Closed neighbourhood of every node.
+    hoods: Vec<Vec<NodeId>>,
+    /// The reported palette: every state of every interned configuration.
+    palette: Interner<A::State>,
+    /// Raw (pre-normalization) transition targets; used only under
+    /// `normalize`, whose successors are re-encoded after normalizing so
+    /// that only normalized states reach the palette.
+    raw_targets: Interner<A::State>,
+    /// Transition memo. Targets are palette indices, or `raw_targets`
+    /// indices under `normalize`.
+    memo: Memo,
+    configs: ConfigTable,
     legit: Vec<bool>,
+    /// No node is enabled (set when the configuration is expanded).
+    silent: Vec<bool>,
+    /// Some successor is the configuration itself — possible only under
+    /// `normalize` (set when the configuration is expanded).
+    self_loop: Vec<bool>,
     parent: Vec<u32>,
     parent_act: Vec<u64>,
     edges: u64,
+    // Scratch buffers reused across expansions.
+    buf: Vec<u16>,
+    key: Vec<u16>,
+    succs: Vec<u16>,
+    hashes: Vec<u64>,
+    enabled: Vec<EnabledNode>,
+    digits: Vec<u32>,
+    decoded: Vec<A::State>,
 }
 
 impl<A: Algorithm> Space<'_, A> {
-    fn intern_state(&mut self, s: &A::State) -> Result<u16, ExploreError> {
-        if let Some(&i) = self.palette_index.get(s) {
-            return Ok(i);
-        }
-        if self.palette.len() > u16::MAX as usize {
-            return Err(ExploreError::PaletteOverflow);
-        }
-        let i = self.palette.len() as u16;
-        self.palette.push(s.clone());
-        self.palette_index.insert(s.clone(), i);
-        Ok(i)
-    }
-
-    /// Normalizes, interns and (for fresh configurations) classifies a
-    /// configuration; returns `(id, freshly_interned)`.
-    fn intern(&mut self, mut cfg: Vec<A::State>) -> Result<(u32, bool), ExploreError> {
+    /// Normalizes a configuration and appends its palette encoding to
+    /// `out`.
+    fn encode(&mut self, mut cfg: Vec<A::State>, out: &mut Vec<u16>) -> Result<(), ExploreError> {
         if let Some(norm) = self.normalize {
             norm(&mut cfg);
         }
-        let mut key = Vec::with_capacity(self.n);
         for s in &cfg {
-            key.push(self.intern_state(s)?);
+            out.push(self.palette.intern(s)?);
         }
-        let key = key.into_boxed_slice();
-        if let Some(&id) = self.config_index.get(&key) {
+        Ok(())
+    }
+
+    /// Normalizes and encodes a seed configuration, then interns it;
+    /// returns `(id, freshly_interned)`.
+    fn intern_seed(&mut self, cfg: Vec<A::State>) -> Result<(u32, bool), ExploreError> {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        self.encode(cfg, &mut key)?;
+        let interned = self.intern(&key, hash_indices(&key), NO_PARENT, 0);
+        self.key = key;
+        interned
+    }
+
+    /// Looks up an encoded configuration, interning and classifying it
+    /// (with BFS parent `parent` reached by activation `act`) when fresh;
+    /// returns `(id, freshly_interned)`.
+    fn intern(
+        &mut self,
+        cfg: &[u16],
+        hash: u64,
+        parent: u32,
+        act: u64,
+    ) -> Result<(u32, bool), ExploreError> {
+        if let Some(id) = self.configs.find(cfg, hash) {
             return Ok((id, false));
         }
         if self.configs.len() >= self.max_states {
@@ -543,136 +846,165 @@ impl<A: Algorithm> Space<'_, A> {
                 budget: self.max_states,
             });
         }
-        let id = self.configs.len() as u32;
-        self.configs.push(key.clone());
-        self.config_index.insert(key, id);
-        self.legit.push((self.oracle)(self.graph, &cfg));
-        self.parent.push(NO_PARENT);
-        self.parent_act.push(0);
+        let id = self.configs.push(cfg, hash);
+        let mut states = std::mem::take(&mut self.decoded);
+        states.clear();
+        states.extend(cfg.iter().map(|&i| self.palette.states[i as usize].clone()));
+        self.legit.push((self.oracle)(self.graph, &states));
+        self.decoded = states;
+        self.silent.push(false);
+        self.self_loop.push(false);
+        self.parent.push(parent);
+        self.parent_act.push(act);
         Ok((id, true))
     }
 
-    /// Looks up an already-interned configuration (BFS invariant: every
-    /// successor of a visited configuration is visited).
-    fn lookup(&self, mut cfg: Vec<A::State>) -> u32 {
-        if let Some(norm) = self.normalize {
-            norm(&mut cfg);
-        }
-        let key: Box<[u16]> = cfg.iter().map(|s| self.palette_index[s]).collect();
-        self.config_index[&key]
+    /// The memoized targets of node `v` at configuration `cfg`, as a
+    /// `(start, count)` range of `memo.targets`.
+    fn targets(&mut self, cfg: &[u16], v: NodeId) -> Result<(u32, u32), ExploreError> {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend(self.hoods[v].iter().map(|&u| cfg[u]));
+        key.sort_unstable();
+        key.dedup();
+        key.push(cfg[v]);
+        let range = match self.memo.get(&key) {
+            Some(range) => Ok(range),
+            None => self.evaluate(&key),
+        };
+        self.key = key;
+        range
     }
 
-    fn decode(&self, id: u32) -> Vec<A::State> {
-        self.configs[id as usize]
+    /// Memo miss: runs the transition on every coin tape and records the
+    /// distinct non-identity targets.
+    fn evaluate(&mut self, key: &[u16]) -> Result<(u32, u32), ExploreError> {
+        let (&own, sensed) = key.split_last().expect("memo key holds the own index");
+        let own = self.palette.states[own as usize].clone();
+        let signal = Signal::from_states(
+            sensed
+                .iter()
+                .map(|&i| self.palette.states[i as usize].clone()),
+        );
+        let tapes = if self.deterministic {
+            1
+        } else {
+            self.coin_tapes
+        };
+        let mut targets: Vec<A::State> = Vec::new();
+        for tape in 0..tapes {
+            // A fresh seeded PRNG per tape: the compat rand rejection-samples
+            // ranges, so tapes must be real streams.
+            let mut rng = StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape));
+            let t = self.alg.transition(&own, &signal, &mut rng);
+            if t != own && !targets.contains(&t) {
+                targets.push(t);
+            }
+        }
+        let codes = targets
             .iter()
-            .map(|&i| self.palette[i as usize].clone())
-            .collect()
+            .map(|t| match self.normalize {
+                None => self.palette.intern(t),
+                Some(_) => self.raw_targets.intern(t),
+            })
+            .collect::<Result<Vec<u16>, _>>()?;
+        Ok(self.memo.insert(key, &codes))
     }
 
-    /// The enabled nodes of `cfg` with their distinct non-identity targets.
-    fn enabled_targets(&self, cfg: &[A::State]) -> Result<EnabledTargets<A::State>, ExploreError> {
-        let mut out = Vec::new();
-        let mut hood = Vec::new();
-        for v in 0..self.n {
-            self.graph.closed_neighborhood_into(v, &mut hood);
-            let signal = Signal::from_states(hood.iter().map(|&u| cfg[u].clone()));
-            let mut targets: Vec<A::State> = Vec::new();
-            let tapes = if self.deterministic {
-                1
-            } else {
-                self.coin_tapes
-            };
-            for tape in 0..tapes {
-                // A fresh seeded PRNG per (node, tape): the compat rand
-                // rejection-samples ranges, so tapes must be real streams.
-                let mut rng = StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape));
-                let t = self.alg.transition(&cfg[v], &signal, &mut rng);
-                if t != cfg[v] && !targets.contains(&t) {
-                    targets.push(t);
-                }
-            }
-            if !targets.is_empty() {
-                out.push((v, targets));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Bitmask of nodes enabled at `cfg`.
-    fn enabled_mask(&self, cfg: &[A::State]) -> Result<u64, ExploreError> {
+    /// Regenerates the successor edges of configuration `id` into `out`, as
+    /// `(activation mask, successor id)` pairs in a fixed order (odometer
+    /// over the enabled nodes ascending, inactive digit first), interning
+    /// fresh successors with `id` as their BFS parent. Every non-empty
+    /// `(activation ⊆ enabled, target choice)` combination is one edge.
+    /// Returns the mask of enabled nodes.
+    fn expand(&mut self, id: u32, out: &mut Vec<(u64, u32)>) -> Result<u64, ExploreError> {
+        out.clear();
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.extend_from_slice(self.configs.get(id));
+        let mut enabled = std::mem::take(&mut self.enabled);
+        enabled.clear();
         let mut mask = 0u64;
-        for (v, _) in self.enabled_targets(cfg)? {
-            mask |= 1u64 << v;
-        }
-        Ok(mask)
-    }
-
-    /// Enumerates every successor of `cfg` under the activation reduction:
-    /// one call per non-empty `(activation ⊆ enabled, target choice)`
-    /// combination, in a fixed deterministic order (odometer over nodes
-    /// ascending, inactive digit first).
-    fn for_each_successor<F>(
-        &mut self,
-        cfg: &[A::State],
-        targets: &[(NodeId, Vec<A::State>)],
-        mut f: F,
-    ) -> Result<(), ExploreError>
-    where
-        F: FnMut(&mut Self, u64, Vec<A::State>) -> Result<(), ExploreError>,
-    {
-        let k = targets.len();
-        if k == 0 {
-            return Ok(());
-        }
         let mut total = 1u64;
-        for (_, ts) in targets {
-            total = total.saturating_mul(ts.len() as u64 + 1);
+        for v in 0..self.n {
+            let (start, targets) = self.targets(&buf, v)?;
+            if targets == 0 {
+                continue;
+            }
+            total = total.saturating_mul(u64::from(targets) + 1);
             if total > MAX_BRANCH {
                 return Err(ExploreError::BranchingOverflow { successors: total });
             }
+            mask |= 1u64 << v;
+            enabled.push(EnabledNode {
+                node: v,
+                start,
+                targets,
+                idle: buf[v],
+            });
         }
         // Odometer digit per enabled node: 0 = not activated, d = take
-        // target d-1. Skips the all-zero combination (the implicit no-op).
-        let mut digits = vec![0usize; k];
-        loop {
-            // Increment.
+        // target d-1. Each increment patches only the digits it changes,
+        // and the all-zero combination (the implicit no-op) is skipped.
+        let mut digits = std::mem::take(&mut self.digits);
+        digits.clear();
+        digits.resize(enabled.len(), 0);
+        let mut succs = std::mem::take(&mut self.succs);
+        succs.clear();
+        let mut act = 0u64;
+        'combinations: while !enabled.is_empty() {
             let mut pos = 0;
             loop {
+                let e = enabled[pos];
                 digits[pos] += 1;
-                if digits[pos] <= targets[pos].1.len() {
+                if digits[pos] <= e.targets {
+                    buf[e.node] = self.memo.targets[(e.start + digits[pos] - 1) as usize];
+                    act |= 1u64 << e.node;
                     break;
                 }
                 digits[pos] = 0;
+                buf[e.node] = e.idle;
+                act &= !(1u64 << e.node);
                 pos += 1;
-                if pos == k {
-                    return Ok(());
+                if pos == enabled.len() {
+                    break 'combinations;
                 }
             }
-            let mut act = 0u64;
-            let mut succ = cfg.to_vec();
-            for (slot, &d) in digits.iter().enumerate() {
-                if d != 0 {
-                    let (v, ts) = &targets[slot];
-                    act |= 1u64 << *v;
-                    succ[*v] = ts[d - 1].clone();
-                }
+            if self.normalize.is_none() {
+                succs.extend_from_slice(&buf);
+            } else {
+                // Activated slots hold raw target indices: decode,
+                // normalize and re-encode.
+                let cfg = buf
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &i)| {
+                        let table = if act >> v & 1 == 1 {
+                            &self.raw_targets
+                        } else {
+                            &self.palette
+                        };
+                        table.states[i as usize].clone()
+                    })
+                    .collect();
+                self.encode(cfg, &mut succs)?;
             }
-            f(self, act, succ)?;
+            out.push((act, u32::MAX));
         }
-    }
-
-    /// Successor edges `(activation mask, successor id)` of a visited
-    /// configuration, regenerated on the fly.
-    fn succ_edges(&mut self, id: u32) -> Result<Vec<(u64, u32)>, ExploreError> {
-        let cfg = self.decode(id);
-        let targets = self.enabled_targets(&cfg)?;
-        let mut out = Vec::new();
-        self.for_each_successor(&cfg, &targets, |space, act, succ| {
-            let sid = space.lookup(succ);
-            out.push((act, sid));
-            Ok(())
-        })?;
-        Ok(out)
+        // Resolve the successor ids only now, with the whole batch
+        // encoded: warming its slots first overlaps their cache misses.
+        let mut hashes = std::mem::take(&mut self.hashes);
+        self.configs.warm(&succs, out.len(), &mut hashes);
+        for (k, edge) in out.iter_mut().enumerate() {
+            let succ = &succs[k * self.n..(k + 1) * self.n];
+            edge.1 = self.intern(succ, hashes[k], id, edge.0)?.0;
+        }
+        self.buf = buf;
+        self.enabled = enabled;
+        self.digits = digits;
+        self.succs = succs;
+        self.hashes = hashes;
+        Ok(mask)
     }
 
     /// The parent-pointer chain from a seed to `id`, as trace steps.
@@ -685,12 +1017,12 @@ impl<A: Algorithm> Space<'_, A> {
             cur = self.parent[cur as usize];
         }
         chain.reverse();
-        let start = self.configs[cur as usize].to_vec();
+        let start = self.configs.get(cur).to_vec();
         let steps = chain
             .into_iter()
             .map(|c| TraceStep {
                 activation: mask_nodes(self.parent_act[c as usize]),
-                config: self.configs[c as usize].to_vec(),
+                config: self.configs.get(c).to_vec(),
             })
             .collect();
         (start, steps)
@@ -701,10 +1033,10 @@ impl<A: Algorithm> Space<'_, A> {
         // `src` is itself legitimate, so no lead-in is needed.
         Trace {
             kind: ViolationKind::Closure,
-            start: self.configs[src as usize].to_vec(),
+            start: self.configs.get(src).to_vec(),
             steps: vec![TraceStep {
                 activation: mask_nodes(act),
-                config: self.configs[succ as usize].to_vec(),
+                config: self.configs.get(succ).to_vec(),
             }],
             cycle_start: None,
             fairness: Vec::new(),
@@ -719,30 +1051,42 @@ impl<A: Algorithm> Space<'_, A> {
     /// Fair-schedule convergence: find a trap SCC of the illegitimate
     /// subgraph (cover = all nodes) or certify there is none.
     fn fair_convergence(&mut self) -> Result<PropertyResult, ExploreError> {
-        let states = self.configs.len();
         let (comp, comp_count) = self.tarjan_illegitimate()?;
         if comp_count == 0 {
             return Ok(PropertyResult::Certified);
         }
-        // Cover sweep: per component, the union of intra-component
-        // activation masks and of disabled-node masks.
-        let mut cover = vec![0u64; comp_count];
         let mut size = vec![0u32; comp_count];
         let mut min_state = vec![u32::MAX; comp_count];
-        for id in 0..states as u32 {
-            let c = comp[id as usize];
+        for (id, &c) in comp.iter().enumerate() {
+            if c == u32::MAX {
+                continue;
+            }
+            size[c as usize] += 1;
+            if min_state[c as usize] == u32::MAX {
+                min_state[c as usize] = id as u32;
+            }
+        }
+        // Cover sweep: per component, the union of intra-component
+        // activation masks and of disabled-node masks. A singleton without
+        // a self-loop has no intra-component edge, so its cover is full
+        // exactly when it is silent; only the other components regenerate
+        // their edges.
+        let mut cover = vec![0u64; comp_count];
+        let mut edges = Vec::new();
+        for (id, &c) in comp.iter().enumerate() {
             if c == u32::MAX {
                 continue;
             }
             let cidx = c as usize;
-            size[cidx] += 1;
-            if min_state[cidx] == u32::MAX {
-                min_state[cidx] = id;
+            if size[cidx] == 1 && !self.self_loop[id] {
+                if self.silent[id] {
+                    cover[cidx] = self.full_mask;
+                }
+                continue;
             }
-            let cfg = self.decode(id);
-            let enabled = self.enabled_mask(&cfg)?;
+            let enabled = self.expand(id as u32, &mut edges)?;
             cover[cidx] |= !enabled & self.full_mask;
-            for (act, sid) in self.succ_edges(id)? {
+            for &(act, sid) in &edges {
                 if comp[sid as usize] == c {
                     cover[cidx] |= act;
                 }
@@ -757,8 +1101,7 @@ impl<A: Algorithm> Space<'_, A> {
             return Ok(PropertyResult::Certified);
         };
         let entry = min_state[trap];
-        if size[trap] == 1 {
-            // Singleton with full cover = silent illegitimate configuration.
+        if size[trap] == 1 && self.silent[entry as usize] {
             let (start, steps) = self.seed_path(entry);
             return Ok(PropertyResult::Violated(Box::new(Trace {
                 kind: ViolationKind::Deadlock,
@@ -788,78 +1131,69 @@ impl<A: Algorithm> Space<'_, A> {
         let mut stack: Vec<u32> = Vec::new();
         let mut next_index = 0u32;
         let mut comp_count = 0u32;
-        // Frame: (node, illegitimate successors, next child position).
-        let mut frames: Vec<(u32, Vec<u32>, usize)> = Vec::new();
+        // The illegitimate successors of every open frame, stacked: a
+        // frame's list runs from its start to the next frame's start.
+        let mut succs: Vec<u32> = Vec::new();
+        // Frame: (node, start of its successor list, next child position).
+        let mut frames: Vec<(u32, usize, usize)> = Vec::new();
+        let mut edges = Vec::new();
 
         for root in 0..states as u32 {
             if self.legit[root as usize] || index[root as usize] != UNVISITED {
                 continue;
             }
-            index[root as usize] = next_index;
-            low[root as usize] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root as usize] = true;
-            frames.push((root, self.illegit_succs(root)?, 0));
+            let mut open = Some(root);
             loop {
-                let (v, next_child) = {
-                    let Some(frame) = frames.last_mut() else {
-                        break;
-                    };
-                    let v = frame.0;
-                    if frame.2 < frame.1.len() {
-                        let w = frame.1[frame.2];
-                        frame.2 += 1;
-                        (v, Some(w))
-                    } else {
-                        (v, None)
-                    }
+                if let Some(w) = open.take() {
+                    index[w as usize] = next_index;
+                    low[w as usize] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w as usize] = true;
+                    self.expand(w, &mut edges)?;
+                    let start = succs.len();
+                    succs.extend(
+                        edges
+                            .iter()
+                            .filter(|&&(_, sid)| !self.legit[sid as usize])
+                            .map(|&(_, sid)| sid),
+                    );
+                    frames.push((w, start, start));
+                }
+                let Some(frame) = frames.last_mut() else {
+                    break;
                 };
-                match next_child {
-                    Some(w) => {
-                        if index[w as usize] == UNVISITED {
-                            index[w as usize] = next_index;
-                            low[w as usize] = next_index;
-                            next_index += 1;
-                            stack.push(w);
-                            on_stack[w as usize] = true;
-                            let succs = self.illegit_succs(w)?;
-                            frames.push((w, succs, 0));
-                        } else if on_stack[w as usize] {
-                            low[v as usize] = low[v as usize].min(index[w as usize]);
+                let (v, start) = (frame.0, frame.1);
+                if frame.2 < succs.len() {
+                    let w = succs[frame.2];
+                    frame.2 += 1;
+                    if index[w as usize] == UNVISITED {
+                        open = Some(w);
+                    } else if on_stack[w as usize] {
+                        low[v as usize] = low[v as usize].min(index[w as usize]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                succs.truncate(start);
+                if low[v as usize] == index[v as usize] {
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w as usize] = false;
+                        comp[w as usize] = comp_count;
+                        if w == v {
+                            break;
                         }
                     }
-                    None => {
-                        frames.pop();
-                        if low[v as usize] == index[v as usize] {
-                            loop {
-                                let w = stack.pop().expect("tarjan stack underflow");
-                                on_stack[w as usize] = false;
-                                comp[w as usize] = comp_count;
-                                if w == v {
-                                    break;
-                                }
-                            }
-                            comp_count += 1;
-                        }
-                        if let Some(frame) = frames.last_mut() {
-                            let p = frame.0;
-                            low[p as usize] = low[p as usize].min(low[v as usize]);
-                        }
-                    }
+                    comp_count += 1;
+                }
+                if let Some(frame) = frames.last() {
+                    let p = frame.0;
+                    low[p as usize] = low[p as usize].min(low[v as usize]);
                 }
             }
         }
         Ok((comp, comp_count as usize))
-    }
-
-    fn illegit_succs(&mut self, id: u32) -> Result<Vec<u32>, ExploreError> {
-        Ok(self
-            .succ_edges(id)?
-            .into_iter()
-            .filter(|&(_, sid)| !self.legit[sid as usize])
-            .map(|(_, sid)| sid)
-            .collect())
     }
 
     /// Builds the fair-cycle counterexample for trap component `trap`,
@@ -878,10 +1212,10 @@ impl<A: Algorithm> Space<'_, A> {
         let mut fairness: Vec<FairnessWitness> = Vec::new();
         let mut remaining = self.full_mask;
         let mut cur = entry;
+        let mut edges = Vec::new();
 
         while remaining != 0 {
-            let cfg = self.decode(cur);
-            let enabled = self.enabled_mask(&cfg)?;
+            let enabled = self.expand(cur, &mut edges)?;
             let noop = !enabled & self.full_mask & remaining;
             if noop != 0 {
                 for v in mask_nodes(noop) {
@@ -892,7 +1226,7 @@ impl<A: Algorithm> Space<'_, A> {
                     });
                     steps.push(TraceStep {
                         activation: vec![v],
-                        config: self.configs[cur as usize].to_vec(),
+                        config: self.configs.get(cur).to_vec(),
                     });
                 }
                 remaining &= !noop;
@@ -913,7 +1247,7 @@ impl<A: Algorithm> Space<'_, A> {
                 remaining &= !act;
                 steps.push(TraceStep {
                     activation: mask_nodes(act),
-                    config: self.configs[sid as usize].to_vec(),
+                    config: self.configs.get(sid).to_vec(),
                 });
                 cur = sid;
             }
@@ -922,7 +1256,7 @@ impl<A: Algorithm> Space<'_, A> {
             for (act, sid) in self.bfs_path(comp, trap, cur, entry)? {
                 steps.push(TraceStep {
                     activation: mask_nodes(act),
-                    config: self.configs[sid as usize].to_vec(),
+                    config: self.configs.get(sid).to_vec(),
                 });
             }
         }
@@ -955,16 +1289,16 @@ impl<A: Algorithm> Space<'_, A> {
     ) -> Result<(Vec<(u64, u32)>, Option<(u64, u32)>), ExploreError> {
         let mut prev: HashMap<u32, (u32, u64)> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
+        let mut edges = Vec::new();
         prev.insert(cur, (cur, 0));
         queue.push_back(cur);
         while let Some(s) = queue.pop_front() {
-            let cfg = self.decode(s);
-            let enabled = self.enabled_mask(&cfg)?;
+            let enabled = self.expand(s, &mut edges)?;
             if s != cur && (!enabled & self.full_mask & remaining) != 0 {
                 return Ok((self.unwind(&prev, cur, s), None));
             }
             let mut witness: Option<(u64, u32)> = None;
-            for (act, sid) in self.succ_edges(s)? {
+            for &(act, sid) in &edges {
                 if comp[sid as usize] != trap {
                     continue;
                 }
@@ -994,13 +1328,15 @@ impl<A: Algorithm> Space<'_, A> {
     ) -> Result<Vec<(u64, u32)>, ExploreError> {
         let mut prev: HashMap<u32, (u32, u64)> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
+        let mut edges = Vec::new();
         prev.insert(cur, (cur, 0));
         queue.push_back(cur);
         while let Some(s) = queue.pop_front() {
             if s == dest {
                 return Ok(self.unwind(&prev, cur, dest));
             }
-            for (act, sid) in self.succ_edges(s)? {
+            self.expand(s, &mut edges)?;
+            for &(act, sid) in &edges {
                 if comp[sid as usize] == trap {
                     if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(sid) {
                         e.insert((s, act));
@@ -1029,17 +1365,15 @@ impl<A: Algorithm> Space<'_, A> {
     fn reachability_convergence(&mut self) -> Result<PropertyResult, ExploreError> {
         let states = self.configs.len();
         let mut reach = self.legit.clone();
+        let mut edges = Vec::new();
         loop {
             let mut changed = false;
             for id in (0..states as u32).rev() {
                 if reach[id as usize] {
                     continue;
                 }
-                if self
-                    .succ_edges(id)?
-                    .iter()
-                    .any(|&(_, sid)| reach[sid as usize])
-                {
+                self.expand(id, &mut edges)?;
+                if edges.iter().any(|&(_, sid)| reach[sid as usize]) {
                     reach[id as usize] = true;
                     changed = true;
                 }
@@ -1201,6 +1535,78 @@ mod tests {
                 .unwrap_or(&trace.start),
         );
         assert_eq!(cfg, vec![2, 2]);
+    }
+
+    /// Deterministic toy with an unbounded counter: a node increments iff
+    /// its whole closed neighbourhood agrees with it.
+    struct AgreeIncrement;
+
+    impl Algorithm for AgreeIncrement {
+        type State = u64;
+        type Output = u64;
+
+        fn output(&self, state: &u64) -> Option<u64> {
+            Some(*state)
+        }
+
+        fn transition(
+            &self,
+            state: &u64,
+            signal: &Signal<u64>,
+            _rng: &mut dyn rand::RngCore,
+        ) -> u64 {
+            if signal.iter().all(|s| s == state) {
+                state + 1
+            } else {
+                *state
+            }
+        }
+
+        fn transition_is_deterministic(&self) -> bool {
+            true
+        }
+
+        fn name(&self) -> &'static str {
+            "agree-increment"
+        }
+    }
+
+    #[test]
+    fn self_loop_singleton_trap_is_a_fair_cycle_not_a_deadlock() {
+        // Under min-subtraction, activating both nodes of [0, 0] leads to
+        // [1, 1] = [0, 0]: a singleton component whose cover is full
+        // through its self-loop although both nodes are enabled. ([1, 0]
+        // and [0, 1] are silent deadlocks, but [0, 0] has the smallest id.)
+        let normalize = |cfg: &mut Vec<u64>| {
+            let min = *cfg.iter().min().expect("non-empty configuration");
+            cfg.iter_mut().for_each(|v| *v -= min);
+        };
+        let report = explore(
+            &AgreeIncrement,
+            &Graph::path(2),
+            &mut std::iter::once(vec![0, 0]),
+            &|_, _: &[u64]| false,
+            Some(&normalize),
+            &ExploreConfig::default(),
+            &mut |_| {},
+        )
+        .expect("explore");
+        let trace = report.convergence.trace().expect("convergence violated");
+        assert_eq!(trace.kind, ViolationKind::FairCycle);
+        assert_eq!(trace.cycle_start, Some(0));
+        assert_eq!(
+            trace.steps,
+            vec![TraceStep {
+                activation: vec![0, 1],
+                config: trace.start.clone(),
+            }]
+        );
+        let witness = |node| FairnessWitness {
+            node,
+            step: 0,
+            kind: WitnessKind::StateChange,
+        };
+        assert_eq!(trace.fairness, vec![witness(0), witness(1)]);
     }
 
     /// A two-state toggle: every node always flips. Illegitimate states

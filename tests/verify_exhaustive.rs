@@ -7,9 +7,17 @@
 //! demonstrates a real violation) and the LE composite's closure violation
 //! over the *observational* legitimacy oracle (the documented caveat, see
 //! `docs/verify.md`). Everything here must be deterministic across runs.
+//!
+//! Every committed instance also pins its explored sizes — states, edges,
+//! legitimate configurations and palette size — and the two committed
+//! counterexample traces are pinned byte for byte (their JSON carries the
+//! whole palette in discovery order and the configuration ids), so a search
+//! kernel that drops or duplicates an edge, or interns the palette or the
+//! configurations in a different order, fails here even when the verdicts
+//! survive.
 
 use sa_bench::sweep::SweepSpec;
-use sa_bench::verify::{render_verify_json, trace_json, verify_units};
+use sa_bench::verify::{render_verify_json, trace_json, verify_units, VerifyUnitReport};
 use sa_model::explore::{explore, ExploreConfig, ViolationKind};
 use sa_model::{Execution, Graph, StateSpace};
 use unison_core::baseline::{reset_attempt_legitimate, ResetAttempt, ResetTurn};
@@ -18,11 +26,31 @@ fn verify_spec(text: &str) -> SweepSpec {
     SweepSpec::parse(text).expect("spec parses")
 }
 
-fn run_units(spec: &SweepSpec) -> Vec<sa_bench::verify::VerifyUnitReport> {
+fn run_units(spec: &SweepSpec) -> Vec<VerifyUnitReport> {
     verify_units(spec)
         .iter()
         .map(|u| u.run(&mut |_| {}).expect("unit runs"))
         .collect()
+}
+
+/// 64-bit FNV-1a of a rendered document: a compact pin for a whole trace
+/// file (a pinned value is the FNV-1a of the `sa verify` trace file minus
+/// its trailing newline).
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Asserts a unit's explored sizes: `(states, edges, legitimate, palette)`.
+fn assert_sizes(report: &VerifyUnitReport, sizes: (usize, u64, usize, usize)) {
+    let stats = &report.stats;
+    assert_eq!(
+        (stats.states, stats.edges, stats.legitimate, stats.palette),
+        sizes,
+        "{}: (states, edges, legitimate, palette)",
+        report.unit_id
+    );
 }
 
 #[test]
@@ -42,9 +70,9 @@ fn algau_tiny_instances_certify() {
         assert!(report.stats.deterministic);
     }
     // Exact sizes anchor determinism and catch transition-relation drift.
-    assert_eq!(reports[0].stats.states, 324); // |Q|^2 = 18^2, path-2 at D=1
-    assert_eq!(reports[1].stats.states, 5832); // 18^3, cycle-3 at D=1
-    assert_eq!(reports[2].stats.states, 16096); // torus-3x3, benign + radius-1
+    assert_sizes(&reports[0], (324, 652, 30, 18)); // |Q|^2 = 18^2, path-2 at D=1
+    assert_sizes(&reports[1], (5832, 23856, 70, 18)); // 18^3, cycle-3 at D=1
+    assert_sizes(&reports[2], (16096, 386566, 12208, 30)); // torus-3x3, benign + radius-1
     assert_eq!(reports[2].space, "reachable-r1");
 }
 
@@ -60,8 +88,7 @@ fn min_plus_one_certifies_under_min_quotient() {
     assert!(reports[0].certified());
     // The register is unbounded; the min-subtraction quotient keeps the
     // explored palette finite (clocks 0..=2D+2 plus transient overshoot).
-    assert_eq!(reports[0].stats.states, 131);
-    assert_eq!(reports[0].stats.palette, 8);
+    assert_sizes(&reports[0], (131, 759, 9, 8));
 }
 
 /// The reset-attempt strawman live-locks on a 5-cycle at period 3; the
@@ -149,11 +176,18 @@ fn broken_spec_reports_fair_cycle() {
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
     assert_eq!(report.unit_id, "V1-reset-attempt-p3-cycle-5-full");
+    assert_sizes(report, (7776, 37076, 243, 6)); // 6^5
     assert!(report.closure_certified);
     assert!(!report.convergence_certified);
     let trace = report.convergence_trace.as_ref().expect("trace present");
     assert_eq!(trace.kind, ViolationKind::FairCycle);
     assert_eq!(trace.fairness.len(), 5, "one witness per node");
+    // traces/V1-reset-attempt-p3-cycle-5-full.convergence.json
+    let pin = fnv1a(&trace_json(report, "convergence", trace).render_pretty());
+    assert_eq!(
+        pin, 0x19ed_e2c7_cf4a_6c9d,
+        "trace drifted (FNV-1a now {pin:#x})"
+    );
 }
 
 /// The LE composite's *observational* oracle is not closed: a planted
@@ -172,6 +206,7 @@ fn le_observational_oracle_closure_caveat() {
     let reports = run_units(&spec);
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
+    assert_sizes(report, (9066, 31640, 2166, 445));
     assert!(!report.stats.deterministic, "LE tosses coins");
     assert!(
         !report.closure_certified,
@@ -181,6 +216,31 @@ fn le_observational_oracle_closure_caveat() {
     let trace = report.closure_trace.as_ref().expect("closure trace");
     assert_eq!(trace.kind, ViolationKind::Closure);
     assert_eq!(trace.steps.len(), 1, "closure counterexamples are one step");
+    // traces/V1-le-complete-2-reachable-r1.closure.json: 445 palette
+    // entries in discovery order, and configuration ids #10 and #98.
+    let pin = fnv1a(&trace_json(report, "closure", trace).render_pretty());
+    assert_eq!(
+        pin, 0xbb53_ddd2_b7fa_e196,
+        "trace drifted (FNV-1a now {pin:#x})"
+    );
+}
+
+/// The MIS composite (randomized, so reachability-only) certifies
+/// recovery from every radius-1 fault burst on a 2-path.
+#[test]
+fn mis_composite_certifies_reachability() {
+    let spec = verify_spec(
+        r#"{"name": "t", "tasks": [
+            {"id": "V2", "kind": "verify", "algorithms": ["mis"],
+             "topologies": [{"kind": "path", "n": 2}],
+             "space": "reachable", "fault_radius": 1}]}"#,
+    );
+    let reports = run_units(&spec);
+    assert_eq!(reports.len(), 1);
+    let report = &reports[0];
+    assert_sizes(report, (90489, 394508, 16920, 2419));
+    assert!(!report.stats.deterministic, "MIS tosses coins");
+    assert!(report.certified(), "every explored state reaches L");
 }
 
 #[test]
