@@ -762,8 +762,10 @@ struct State {
     /// Running-unit count per client (the fair-share cap gauge).
     running_by_client: BTreeMap<String, usize>,
     /// Firehose subscribers ([`JobScheduler::watch_all`]): every event of
-    /// every job, in the one total order.
-    firehose: Vec<mpsc::SyncSender<JobEvent>>,
+    /// every job, in the one total order. `None` once shutdown has settled
+    /// every job: the stream is over, every sender is dropped, and a late
+    /// subscriber gets only its catch-up.
+    firehose: Option<Vec<mpsc::SyncSender<JobEvent>>>,
     next_job: u64,
     accepting: bool,
     started: bool,
@@ -795,9 +797,9 @@ impl Inner {
         for sink in self.sinks.lock().unwrap().iter() {
             sink.event(&event);
         }
-        state
-            .firehose
-            .retain(|tx| tx.try_send(event.clone()).is_ok());
+        if let Some(firehose) = state.firehose.as_mut() {
+            firehose.retain(|tx| tx.try_send(event.clone()).is_ok());
+        }
         if let Some(job) = state.jobs.get_mut(event.job()) {
             job.subscribers
                 .retain(|tx| tx.try_send(event.clone()).is_ok());
@@ -875,7 +877,7 @@ impl JobScheduler {
                 queue: FairQueue::default(),
                 running_units: BTreeMap::new(),
                 running_by_client: BTreeMap::new(),
-                firehose: Vec::new(),
+                firehose: Some(Vec::new()),
                 next_job: 1,
                 accepting: true,
                 started,
@@ -1183,7 +1185,10 @@ impl JobScheduler {
     /// total order the sinks see. Jobs already terminal at subscription
     /// time are represented by an immediate synthetic `job-finished` each
     /// (id order), so a late subscriber still learns every outcome. Same
-    /// bounded-channel shedding as [`JobScheduler::watch`].
+    /// bounded-channel shedding as [`JobScheduler::watch`]. The channel
+    /// disconnects once [`JobScheduler::shutdown`] has fanned out its final
+    /// `job-finished` events, so a consumer can block in `recv` without a
+    /// timeout.
     pub fn watch_all(&self) -> mpsc::Receiver<JobEvent> {
         let mut state = self.inner.state.lock().unwrap();
         let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
@@ -1195,7 +1200,9 @@ impl JobScheduler {
                 });
             }
         }
-        state.firehose.push(tx);
+        if let Some(firehose) = state.firehose.as_mut() {
+            firehose.push(tx);
+        }
         rx
     }
 
@@ -1243,7 +1250,8 @@ impl JobScheduler {
     /// Stops the scheduler: no new units start, every in-flight unit is
     /// interrupted at its next step boundary (checkpoint persisted), worker
     /// threads are joined, and every non-terminal job is marked
-    /// [`JobState::Interrupted`] (or `Cancelled`/`Failed` as appropriate).
+    /// [`JobState::Interrupted`] (or `Cancelled`/`Failed` as appropriate),
+    /// after which every [`JobScheduler::watch_all`] channel disconnects.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, AtomicOrdering::SeqCst) {
@@ -1283,6 +1291,8 @@ impl JobScheduler {
             };
             self.inner.fan_out(&mut state, event);
         }
+        // Every job is terminal: end the firehose streams.
+        state.firehose = None;
         self.inner.done.notify_all();
     }
 }
@@ -2154,6 +2164,44 @@ mod tests {
         }
         assert_eq!(finished, vec![first, second]);
         assert!(saw_unit_started, "live events stream after catch-up");
+        fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn shutdown_ends_every_firehose_stream() {
+        let out = temp_dir("firehose-end");
+        let scheduler = JobScheduler::new_paused(1);
+        let early = scheduler.watch_all();
+        let job = scheduler
+            .submit(JobConfig::new(spec("fh-end", 1), out.join("job")))
+            .unwrap()
+            .id;
+        scheduler.shutdown();
+        // Drains a channel to its disconnect; a stream still open after
+        // 10 s is the bug under test.
+        let drain = |rx: mpsc::Receiver<JobEvent>| {
+            let mut events = Vec::new();
+            loop {
+                match rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(event) => events.push(event),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return events,
+                    Err(mpsc::RecvTimeoutError::Timeout) => panic!("firehose still open"),
+                }
+            }
+        };
+        // The subscriber from before shutdown gets the final settle, then
+        // the channel disconnects instead of idling forever.
+        let events = drain(early);
+        match events.last() {
+            Some(JobEvent::JobFinished { job: id, status }) => {
+                assert_eq!(id, &job);
+                assert_eq!(status.state, JobState::Interrupted);
+            }
+            other => panic!("expected a final job-finished, got {other:?}"),
+        }
+        // A subscriber after shutdown gets the catch-up line and nothing more.
+        let late = drain(scheduler.watch_all());
+        assert_eq!(late.len(), 1, "{late:?}");
         fs::remove_dir_all(&out).ok();
     }
 }

@@ -330,14 +330,20 @@ pub fn shutdown(args: &[String]) -> Result<ExitCode, String> {
     simple_op(args, "shutdown")
 }
 
+/// The longest pause between two `sa ping --wait` attempts.
+const PING_RETRY_MAX: Duration = Duration::from_millis(50);
+
 /// `sa ping --socket S [--wait SECS]` — handshake check; `--wait` retries
-/// until the daemon is up (CI uses this to await daemon start).
+/// until the daemon is up (CI uses this to await daemon start). Retries
+/// back off from 1 ms, doubling up to [`PING_RETRY_MAX`], so a daemon that
+/// comes up quickly is seen quickly.
 pub fn ping(args: &[String]) -> Result<ExitCode, String> {
     let parsed = parse_client_args(args)?;
     if !parsed.positional.is_empty() {
         return Err("sa ping takes no positional arguments".to_string());
     }
     let deadline = parsed.wait.map(|wait| Instant::now() + wait);
+    let mut pause = Duration::from_millis(1);
     loop {
         let attempt = Connection::open(&parsed.socket).and_then(|mut connection| {
             connection.round_trip(&JsonValue::object([(
@@ -352,7 +358,10 @@ pub fn ping(args: &[String]) -> Result<ExitCode, String> {
             }
             Err(e) => match deadline {
                 Some(deadline) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(
+                        pause.min(deadline.saturating_duration_since(Instant::now())),
+                    );
+                    pause = (pause * 2).min(PING_RETRY_MAX);
                 }
                 _ => return Err(e),
             },

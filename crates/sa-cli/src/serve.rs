@@ -48,6 +48,16 @@
 //! * **No stuck units.** `--unit-timeout-secs` arms a watchdog that cancels
 //!   a runaway unit at its next checkpoint boundary and fails the job with
 //!   an explanatory error.
+//!
+//! # Connections
+//!
+//! The accept loop blocks in `accept` and spawns one detached handler
+//! thread per connection, registering a clone of its stream in
+//! [`Daemon::connections`]. The `shutdown` op wakes the loop by connecting
+//! to the daemon's own socket. Shutdown then stops the scheduler, closes the
+//! read side of every registered stream (idle clients see EOF), and waits on
+//! a condvar until every handler has deregistered — no timer anywhere on
+//! the request or shutdown path.
 
 use sa_bench::jobs::{
     quarantine_file, write_atomic, JobConfig, JobEvent, JobId, JobScheduler, JobState, JobStatus,
@@ -58,10 +68,11 @@ use sa_runtime::parallel::{thread_count, CancelToken};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime};
 
 /// The protocol generation this daemon speaks (sent in the `hello` line;
@@ -172,6 +183,45 @@ struct Daemon {
     next_id: Mutex<u64>,
     /// Fires on the `shutdown` op; the accept loop exits.
     stop: CancelToken,
+    /// The listening socket's path: the `shutdown` op connects to it once to
+    /// wake the blocking accept loop.
+    socket: PathBuf,
+    /// A clone of every live connection's stream, by connection id. Each
+    /// handler removes its own entry on exit ([`Registration`]); shutdown
+    /// closes the read side of every entry and waits on
+    /// [`Daemon::connection_closed`] until the map is empty.
+    connections: Mutex<BTreeMap<u64, UnixStream>>,
+    connection_closed: Condvar,
+}
+
+impl Daemon {
+    /// Locks the connection registry. Every update is one insert or remove,
+    /// so the map stays valid even if a holder panicked: a poisoned lock is
+    /// recovered rather than taking the accept loop or a `Drop` down.
+    fn live_connections(&self) -> MutexGuard<'_, BTreeMap<u64, UnixStream>> {
+        self.connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A handler thread's hold on its [`Daemon::connections`] entry. Dropping
+/// it (however the handler exits) shuts the socket down both ways — the
+/// registry's clone would otherwise keep it open, and the peer would never
+/// see EOF — then removes the entry and wakes a waiting shutdown.
+struct Registration {
+    daemon: Arc<Daemon>,
+    id: u64,
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut connections = self.daemon.live_connections();
+        if let Some(stream) = connections.remove(&self.id) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.daemon.connection_closed.notify_all();
+    }
 }
 
 /// Archives terminal statuses to `jobs/<id>/result.json` — except
@@ -637,17 +687,12 @@ fn handle_watch_all(daemon: &Arc<Daemon>, stream: &mut UnixStream) -> std::io::R
     for event in archived {
         send_line(stream, &event.to_json())?;
     }
-    loop {
-        match rx.recv_timeout(Duration::from_millis(250)) {
-            Ok(event) => send_line(stream, &event.to_json())?,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if daemon.stop.is_cancelled() {
-                    return Ok(false);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(false),
-        }
+    // The scheduler drops every firehose sender once its shutdown has
+    // settled the last job, which ends this loop.
+    while let Ok(event) = rx.recv() {
+        send_line(stream, &event.to_json())?;
     }
+    Ok(false)
 }
 
 /// Dispatches one request line; returns `false` when the connection should
@@ -769,6 +814,11 @@ fn handle_request(
         "shutdown" => {
             send_line(stream, &ok_response(vec![]))?;
             daemon.stop.cancel();
+            // The accept loop checks `stop` after every accept: connect once
+            // to wake it.
+            if let Err(e) = UnixStream::connect(&daemon.socket) {
+                eprintln!("sa serve: warning: cannot wake the accept loop: {e}");
+            }
             return Ok(false);
         }
         other => send_line(
@@ -779,7 +829,7 @@ fn handle_request(
     Ok(true)
 }
 
-fn handle_connection(daemon: Arc<Daemon>, stream: UnixStream, options: &ConnectionOptions) {
+fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream, options: &ConnectionOptions) {
     // Deadlines: a client idle (or trickling a line) past the read timeout,
     // or blocking our writes past the write timeout, is disconnected — slow
     // clients must not pin handler threads or buffers.
@@ -824,7 +874,7 @@ fn handle_connection(daemon: Arc<Daemon>, stream: UnixStream, options: &Connecti
                 if line.is_empty() {
                     continue;
                 }
-                match handle_request(&daemon, &mut writer, line) {
+                match handle_request(daemon, &mut writer, line) {
                     Ok(true) => {}
                     Ok(false) | Err(_) => break,
                 }
@@ -884,6 +934,9 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
         archive,
         next_id: Mutex::new(next_id),
         stop: CancelToken::new(),
+        socket: options.socket.clone(),
+        connections: Mutex::new(BTreeMap::new()),
+        connection_closed: Condvar::new(),
     });
     if daemon.keep > 0 || daemon.keep_age_secs > 0 {
         prune_archive(&daemon, daemon.keep, daemon.keep_age_secs);
@@ -901,9 +954,6 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
     let listener = UnixListener::bind(&options.socket)
         .map_err(|e| format!("cannot bind {}: {e}", options.socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure socket: {e}"))?;
 
     println!(
         "sa serve: listening on {} (state: {}, protocol v{PROTOCOL_VERSION})",
@@ -916,29 +966,55 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
         idle_timeout_secs: options.idle_timeout_secs,
         write_timeout_secs: options.write_timeout_secs,
     };
-    let mut handlers = Vec::new();
-    while !daemon.stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let daemon = Arc::clone(&daemon);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(daemon, stream, &connection_options);
-                }));
+    for id in 0u64.. {
+        let accepted = listener.accept();
+        if daemon.stop.is_cancelled() {
+            break;
+        }
+        let (stream, _) = accepted.map_err(|e| format!("accept failed: {e}"))?;
+        // Register before the handler exists, so shutdown sees every
+        // connection this loop accepted.
+        match stream.try_clone() {
+            Ok(clone) => {
+                daemon.live_connections().insert(id, clone);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+            Err(e) => {
+                eprintln!("sa serve: warning: dropping a connection: {e}");
+                continue;
             }
-            Err(e) => return Err(format!("accept failed: {e}")),
+        }
+        let registration = Registration {
+            daemon: Arc::clone(&daemon),
+            id,
+        };
+        // Detached: the registration, not a join handle, tracks the thread.
+        // A failed spawn drops the closure, and with it the registration.
+        let spawned = std::thread::Builder::new()
+            .name(format!("sa-conn-{id}"))
+            .spawn(move || {
+                handle_connection(&registration.daemon, stream, &connection_options);
+            });
+        if let Err(e) = spawned {
+            eprintln!("sa serve: warning: cannot start a connection handler: {e}");
         }
     }
+    drop(listener);
 
-    // Shutdown: checkpoint in-flight units, join workers, then let the
-    // connection handlers drain their final event streams.
+    // Shutdown: checkpoint in-flight units (watchers still get their final
+    // `job-finished`), close the read side of every live connection so idle
+    // handlers see EOF, then wait until every handler has deregistered.
     daemon.scheduler.shutdown();
-    for handler in handlers {
-        let _ = handler.join();
+    let mut connections = daemon.live_connections();
+    for stream in connections.values() {
+        let _ = stream.shutdown(Shutdown::Read);
     }
+    while !connections.is_empty() {
+        connections = daemon
+            .connection_closed
+            .wait(connections)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(connections);
     let _ = fs::remove_file(&options.socket);
     println!("sa serve: shut down (jobs remain resumable on restart)");
     Ok(ExitCode::SUCCESS)

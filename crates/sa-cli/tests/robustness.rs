@@ -12,14 +12,16 @@
 //! Around it: graceful `ENOSPC` degradation, oversized/malformed frames,
 //! overload shedding + clean drain, idle-timeout disconnects, the unit
 //! watchdog end to end, quarantine of corrupt state at restart, `gc`
-//! retention, per-client quotas on the wire, and the `watch --all`
-//! firehose.
+//! retention, per-client quotas on the wire, the `watch --all` firehose,
+//! a prompt shutdown with an idle connection open, and handler threads
+//! that release their resources when their connection ends.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const SA: &str = env!("CARGO_BIN_EXE_sa");
@@ -156,6 +158,24 @@ impl Daemon {
 
     fn shutdown(&mut self) {
         assert!(self.try_shutdown(), "daemon did not shut down cleanly");
+    }
+
+    /// Waits at most `limit` for the daemon process to exit; true only if it
+    /// exited cleanly in time. A daemon still running then is SIGKILLed, so
+    /// the caller fails instead of hanging.
+    fn exits_cleanly_within(&mut self, limit: Duration) -> bool {
+        let pid = self.child.id().to_string();
+        let child = &mut self.child;
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = tx.send(child.wait().map(|s| s.success()).unwrap_or(false));
+            });
+            rx.recv_timeout(limit).unwrap_or_else(|_| {
+                let _ = Command::new("kill").args(["-9", &pid]).status();
+                false
+            })
+        })
     }
 }
 
@@ -475,6 +495,52 @@ fn idle_connections_are_disconnected() {
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "idle disconnect took too long"
+    );
+    daemon.shutdown();
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// `shutdown` does not wait for idle connections: their handlers see EOF
+/// and the daemon exits at once, not at the idle deadline.
+#[test]
+fn shutdown_is_prompt_with_an_idle_connection_open() {
+    let dir = temp_dir("idle-shutdown");
+    let mut daemon = Daemon::start(&dir, &[], &[]);
+    // Connected (hello read), then silent: the default idle deadline is
+    // 300 s, far past the limit below.
+    let (mut idle_reader, _idle_writer) = daemon.connect().unwrap();
+    let response = daemon.request(r#"{"op": "shutdown"}"#).unwrap();
+    assert!(response.contains("\"ok\": true"), "{response}");
+    assert!(
+        daemon.exits_cleanly_within(Duration::from_secs(10)),
+        "daemon still running 10 s after shutdown with an idle connection open"
+    );
+    let mut line = String::new();
+    let n = idle_reader.read_line(&mut line).unwrap_or(0);
+    assert_eq!(n, 0, "idle connection should see EOF, got: {line}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Handler threads are detached and gone once their connection ends: the
+/// daemon's address space does not grow one thread stack per connection
+/// it has ever served.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connections_do_not_leak_thread_stacks() {
+    let dir = temp_dir("reap");
+    let mut daemon = Daemon::start(&dir, &[], &[]);
+    let maps = format!("/proc/{}/maps", daemon.child.id());
+    let mappings = || fs::read_to_string(&maps).unwrap().lines().count();
+    let ping = r#"{"op": "ping"}"#;
+    assert!(daemon.request(ping).unwrap().contains("\"ok\": true"));
+    let baseline = mappings();
+    for _ in 0..200 {
+        assert!(daemon.request(ping).unwrap().contains("\"ok\": true"));
+    }
+    let after = mappings();
+    assert!(
+        after <= baseline + 20,
+        "daemon mappings grew from {baseline} to {after} over 200 connections"
     );
     daemon.shutdown();
     fs::remove_dir_all(&dir).ok();
